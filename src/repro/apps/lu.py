@@ -23,7 +23,6 @@ pivot traffic of a panel is sampled once and charged ``w`` times
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Generator, Optional
 
 import numpy as np
@@ -64,13 +63,6 @@ def _lu_cost_tables(machine) -> dict:
     if tables is None:
         tables = machine._lu_phantom_tables = {}
     return tables
-
-
-@lru_cache(maxsize=512)
-def _swaps_list_nbytes(w: int) -> int:
-    """Wire size of a ``w``-entry pivot list, as the reference broadcast
-    would measure it (cached: the per-element walk is a hot path)."""
-    return payload_nbytes([(0, 0)] * w)
 
 
 def _pivot_round_table(machine, col_nodes: tuple, prow_k: int,
@@ -140,7 +132,7 @@ def _copy_matrix(dm: DistributedMatrix) -> DistributedMatrix:
 # factorization detachedly: one rendezvous collects every rank's entry
 # time, the per-panel collective chain (barriers, pivot rounds, swap
 # exchanges, L/U broadcasts, local charges) is replayed with the same
-# detached CollSim the cost tables use, and each rank receives its
+# detached_call the cost tables use, and each rank receives its
 # completion through one scheduled event.  A pdgetrf call costs O(ranks)
 # heap events regardless of matrix size.
 # ---------------------------------------------------------------------------
@@ -181,7 +173,15 @@ def _pdgetrf_walk(machine, desc: Descriptor, nodes: list[int],
     lm = [numroc(n, nb, row, 0, pr) for row in range(pr)]
     ln = [numroc(n, nb, col, 0, pc) for col in range(pc)]
 
-    def coll(kind, members, member_nodes, payloads, root, stats):
+    everyone = list(range(size))
+    # Wire size of a full panel's pivot list, as the reference broadcast
+    # would measure it (only the last panel can be narrower).
+    full_list_nbytes = payload_nbytes([(0, 0)] * nb)
+    # One scratch payload list serves every call: barriers carry none
+    # and only a broadcast root's slot is ever read.
+    payloads: list = [None] * size
+
+    def coll(kind, members, member_nodes, root, stats):
         # A collective call books its tag (the collectives counter)
         # before the size-1 early return, so mirror that even when no
         # traffic moves.
@@ -191,13 +191,12 @@ def _pdgetrf_walk(machine, desc: Descriptor, nodes: list[int],
         times = detached_call(network, member_nodes, kind,
                               [T[r] for r in members], payloads,
                               root=root, engines=engines, stats=stats)
-        for i, r in enumerate(members):
-            T[r] = times[i]
+        for r, done in zip(members, times):
+            T[r] = done
 
     def bcast(members, member_nodes, nbytes, root, stats):
-        payloads: list = [None] * len(members)
         payloads[root] = Phantom(nbytes)
-        coll("bcast", members, member_nodes, payloads, root, stats)
+        coll("bcast", members, member_nodes, root, stats)
 
     ipiv: list = []
     for k in range(desc.col_blocks):
@@ -209,8 +208,7 @@ def _pdgetrf_walk(machine, desc: Descriptor, nodes: list[int],
         # ---- 1. panel factorization (grid column pcol_k) -------------
         members = cols[pcol_k]
         cstats = col_stats[pcol_k]
-        coll("barrier", members, col_nodes[pcol_k], [None] * pr, 0,
-             cstats)
+        coll("barrier", members, col_nodes[pcol_k], 0, cstats)
         round_times, sends_by_row = _pivot_round_table(
             machine, tuple(col_nodes[pcol_k]), prow_k, w, itemsize)
         cstats.collectives += 3 * pr           # reduce + 2 broadcasts
@@ -224,17 +222,19 @@ def _pdgetrf_walk(machine, desc: Descriptor, nodes: list[int],
         panel_swaps = _synthetic_swaps(n, nb, j0, w)
         ipiv.extend(panel_swaps)
         # Share the pivot choices across each grid row.
-        list_nbytes = _swaps_list_nbytes(w)
+        list_nbytes = (full_list_nbytes if w == nb
+                       else payload_nbytes(panel_swaps))
         for row in range(pr):
             bcast(rows[row], row_nodes[row], list_nbytes, pcol_k,
                   row_stats[row])
 
         # ---- 2. apply row swaps --------------------------------------
-        real_swaps = [(a, b) for a, b in panel_swaps if a != b]
+        # Every synthetic swap moves a row, except that the matrix's
+        # last row (the last entry of the last panel) stays put.
+        real_swaps = w - 1 if j0 + w == n else w
         if real_swaps:
-            coll("barrier", list(range(size)), nodes, [None] * size, 0,
-                 grid_stats)
-            g1, g2 = real_swaps[0]
+            coll("barrier", everyone, nodes, 0, grid_stats)
+            g1, g2 = panel_swaps[0]
             p1, _l1 = global_to_local(g1, nb, 0, pr)
             p2, _l2 = global_to_local(g2, nb, 0, pr)
             if p1 != p2:
@@ -259,7 +259,7 @@ def _pdgetrf_walk(machine, desc: Descriptor, nodes: list[int],
                             col_stats[col].bytes_sent += nbytes
                             net_stats.messages += 1
                             net_stats.bytes += nbytes + HEADER_BYTES
-                        T[r] += len(real_swaps) * cost
+                        T[r] += real_swaps * cost
 
         # ---- 3. L11 broadcast + triangular solve (grid row prow_k) ---
         bcast(rows[prow_k], row_nodes[prow_k], w * w * itemsize, pcol_k,

@@ -518,6 +518,11 @@ class CollSim:
                         if got is None:
                             self.mask[rank] = mask
                             return
+                        if got[0] <= self.t_cur[rank]:
+                            # Already deposited: the immediate mailbox
+                            # get still costs the kernel one event (hop).
+                            c = self.cause[rank]
+                            self.cause[rank] = (c[0] + 1, c[1], c[2])
                         self.t_cur[rank] = max(self.t_cur[rank], got[0])
                         self.result[rank] = self.op(got[1],
                                                     self.result[rank])
@@ -757,20 +762,39 @@ def detached_call(network, nodes: list[int], kind: str,
     (scratch when None); ``stats`` mirrors ``CommStats`` sends/bytes and
     — through the wire — NIC and network counters, exactly as the live
     fast path would book them.  The closed-form primitive behind the
-    whole-iteration LU walk.
+    whole-iteration LU walk: its two kinds have flat kernels when every
+    member owns its node and all NICs are alike; the rest is CollSim's.
     """
+    if engines is None:
+        engines = {}
+    if kind in ("bcast", "barrier") and len(set(nodes)) == len(nodes) > 1:
+        nics = [network.nodes[node].nic for node in nodes]
+        if len({nic.bandwidth for nic in nics}) == 1:
+            eng = [engines.get(node) or engines.setdefault(node, [0.0, 0.0])
+                   for node in nodes]
+            if kind == "barrier":
+                return _barrier_kernel(network, nics, eng, times, stats)
+            return _bcast_kernel(network, nics, eng, times,
+                                 payload_nbytes(payloads[root]), root, stats)
+    return collsim_call(network, nodes, kind, times, payloads, root=root,
+                        op=op, engines=engines, stats=stats)
+
+
+def collsim_call(network, nodes, kind, times, payloads, *, root=0, op=None,
+                 engines=None, stats=None) -> list[float]:
+    """:func:`detached_call` through :class:`CollSim` over a scratch
+    :class:`Wire` — the general path, and the reference the kernels are
+    tested against."""
     wire = Wire(network, nodes, engines=engines,
                 record_stats=stats is not None)
     sim = CollSim(kind, len(nodes), DetachedSender(wire), root=root,
                   op=op, stats=stats)
-    resolved: list = []
-    for rank in sorted(range(len(nodes)), key=lambda r: times[r]):
-        resolved.extend(sim.arrive(rank, times[rank], payloads[rank]))
-    sim.drain(float("inf"))
-    resolved.extend(sim.take_resolved())
     out = list(times)
-    for rank, when, _value, _cause in resolved:
-        out[rank] = when
+    # The last arrival's drain runs the heap dry (synchronous sender).
+    for rank in sorted(range(len(nodes)), key=times.__getitem__):
+        for member, when, _value, _cause in sim.arrive(rank, times[rank],
+                                                       payloads[rank]):
+            out[member] = when
     return out
 
 
@@ -785,19 +809,195 @@ def replay_chain(network, nodes: list[int],
     stats.  This is the closed-form primitive behind the LU per-panel
     cost table.
     """
+    from repro.mpi.ops import SUM
     times = [t0] * len(nodes)
     engines: dict = {}
-    from repro.mpi.ops import SUM
     for kind, root, payloads in steps:
-        wire = Wire(network, nodes, engines=engines, record_stats=False)
-        sim = CollSim(kind, len(nodes), DetachedSender(wire),
-                      root=root, op=SUM)
-        resolved: list = []
-        order = sorted(range(len(nodes)), key=lambda r: times[r])
-        for rank in order:
-            resolved.extend(sim.arrive(rank, times[rank], payloads[rank]))
-        sim.drain(float("inf"))
-        resolved.extend(sim.take_resolved())
-        for rank, when, _value, _cause in resolved:
-            times[rank] = when
+        times = detached_call(network, nodes, kind, times, payloads,
+                              root=root, op=SUM, engines=engines)
     return times
+
+
+# The kernels evaluate, hop for hop, the float expressions of ``Wire.send``'s
+# cross-node branch on flat per-member lists (``eng[i]``: member ``i``'s
+# ``[tx_free, rx_free]`` row); only the visiting order of *independent*
+# hops differs, hence the association of the ``busy_time`` sum.
+
+def _hop_terms(network, nics, nbytes: int) -> tuple:
+    """``(software overhead, latency, wire time, contended wire time)``."""
+    wire = nbytes * (1.0 / nics[0].bandwidth + network.per_byte_overhead)
+    return (network.software_overhead, network.latency, wire,
+            wire * (1.0 + network.contention_penalty))
+
+
+def _book_hops(network, stats, nics, payload_nb, sent, received, busy):
+    """Mirror the counters ``Wire.send`` and ``CollSim`` keep per hop."""
+    nbytes = payload_nb + HEADER_BYTES
+    hops = sum(sent)
+    stats.sends += hops
+    stats.bytes_sent += hops * payload_nb
+    for nic, n_out, n_in in zip(nics, sent, received):
+        nic.bytes_sent += n_out * nbytes
+        nic.bytes_received += n_in * nbytes
+    network.stats.messages += hops
+    network.stats.bytes += hops * nbytes
+    network.stats.busy_time = busy
+
+
+def _bcast_kernel(network, nics, eng, times, payload_nb, root,
+                  stats) -> list[float]:
+    """Binomial broadcast in one pass over relative ranks.
+
+    Each tx engine is used only by its owner (sequential blocking
+    forwards) and each rx engine by exactly one send (from the parent),
+    so hop times do not depend on the visiting order; relative ranks
+    ascend because a parent's relative rank is below its child's.
+    """
+    n = len(nics)
+    nbytes = payload_nb + HEADER_BYTES
+    overhead, latency, wire, contended = _hop_terms(network, nics, nbytes)
+    busy = network.stats.busy_time
+    out = list(times)            # arrival, then deposit if later, then end
+    sent = [0] * n
+    for rel in range(n):
+        rank = (rel + root) % n
+        t = out[rank]
+        tx = eng[rank]
+        # Children: rel + the powers of two below its lowest set bit.
+        mask = (rel & -rel if rel else 1 << (n - 1).bit_length()) >> 1
+        while mask:
+            if rel + mask < n:
+                child = (rel + mask + root) % n
+                rx = eng[child]
+                t_arrive = t_hold = t + overhead
+                if tx[0] > t_hold:
+                    t_hold = tx[0]
+                if rx[1] > t_hold:
+                    t_hold = rx[1]
+                tx[0] = rx[1] = end_hold = t_hold + (
+                    contended if t_hold > t_arrive else wire)
+                end = end_hold + latency
+                busy += end - t
+                t = end
+                if end > out[child]:
+                    out[child] = end
+                sent[rank] += 1
+            mask >>= 1
+        out[rank] = t
+    if stats is not None:
+        _book_hops(network, stats, nics, payload_nb, sent,
+                   [rank != root for rank in range(n)], busy)
+    return out
+
+
+def _barrier_kernel(network, nics, eng, times, stats) -> list[float]:
+    """Dissemination barrier: by rounds where exact, else in heap order."""
+    n = len(nics)
+    rounds = math.ceil(math.log2(n))         # n >= 2, as in CollSim
+    hop = _hop_terms(network, nics, HEADER_BYTES)
+    busy = network.stats.busy_time
+    out, busy = (_barrier_by_rounds(n, rounds, eng, times, hop, busy)
+                 or _barrier_ordered(n, rounds, eng, times, hop, busy))
+    if stats is not None:
+        _book_hops(network, stats, nics, 0, [rounds] * n, [rounds] * n,
+                   busy)
+    return out
+
+
+def _barrier_by_rounds(n, rounds, eng, times, hop, busy):
+    """``(completions, busy_time)`` computed round by round, or None.
+
+    Every hop is costed as if its receive engine were free when the
+    transmit engine is.  That holds iff, per destination, the hops sorted
+    by start have pairwise-distinct starts (:class:`CollSim` then visits
+    them in exactly that order) and none is granted its transmit engine
+    before its predecessor's release.  Nothing is committed until then.
+    """
+    overhead, latency, wire, contended = hop
+    start = list(times)
+    tx_free = [row[0] for row in eng]
+    end = [0.0] * n
+    inbound: list[list] = [[] for _ in range(n)]
+    for k in range(rounds):
+        dist = 1 << k
+        for rank in range(n):
+            begin = start[rank]
+            t_arrive = t_tx = begin + overhead
+            if tx_free[rank] > t_tx:
+                t_tx = tx_free[rank]
+            tx_free[rank] = end_hold = t_tx + (
+                contended if t_tx > t_arrive else wire)
+            end[rank] = done = end_hold + latency
+            busy += done - begin
+            inbound[(rank + dist) % n].append((begin, t_tx, end_hold))
+        start = [max(end[rank], end[rank - dist]) for rank in range(n)]
+    rx_free = [row[1] for row in eng]
+    for rank in range(n):
+        last = None
+        for begin, t_tx, end_hold in sorted(inbound[rank]):
+            if rx_free[rank] > t_tx or begin == last:
+                return None
+            rx_free[rank] = end_hold
+            last = begin
+    for row, tx, rx in zip(eng, tx_free, rx_free):
+        row[0], row[1] = tx, rx
+    return start, busy
+
+
+def _barrier_ordered(n, rounds, eng, times, hop, busy):
+    """``(completions, busy_time)`` in :class:`CollSim`'s exact ``(start,
+    cause, seq)`` heap order, for contended or tied receive engines: its
+    barrier program line by line — arrival-ordered eager drains, the
+    replay-event counter, the hop-class cause keys (see its heap comment).
+    """
+    overhead, latency, wire, contended = hop
+    t_cur = list(times)                      # ends as the completions
+    stage = [0] * n
+    send_end: list = [None] * n
+    send_exec = [0] * n
+    cause: list = [None] * n
+    deposits: list = [[None] * rounds for _ in range(n)]
+    heap: list = []
+    seq = events = 0
+    arrivals = sorted(range(n), key=times.__getitem__)
+    for arrived, entrant in enumerate(arrivals, 1):
+        now = times[entrant]
+        events += 1
+        seq += 1
+        cause[entrant] = (0, events, 1)
+        heapq.heappush(heap, (now, cause[entrant], seq, entrant))
+        while heap and (arrived == n or heap[0][0] <= now):
+            begin, _cause, _seq, rank = heapq.heappop(heap)
+            dst = (rank + (1 << stage[rank])) % n
+            tx, rx = eng[rank], eng[dst]
+            t_arrive = t_hold = begin + overhead
+            if tx[0] > t_hold:
+                t_hold = tx[0]
+            if rx[1] > t_hold:
+                t_hold = rx[1]
+            tx[0] = rx[1] = end_hold = t_hold + (
+                contended if t_hold > t_arrive else wire)
+            end = end_hold + latency
+            busy += end - begin
+            events += 1
+            send_exec[rank] = events
+            send_end[rank] = end
+            deposits[dst][stage[rank]] = (end, events)
+            # isend style: the receiver's get fires before the sender's
+            # request-completion event.
+            for peer in (dst, rank):
+                sent = send_end[peer]
+                got = None if sent is None else deposits[peer][stage[peer]]
+                if got is None:
+                    continue
+                if got[0] > t_cur[peer]:
+                    cause[peer] = (0, got[1], 1)
+                if sent >= max(t_cur[peer], got[0]):
+                    cause[peer] = (1, send_exec[peer], 0)
+                t_cur[peer] = nxt = max(sent, got[0])
+                stage[peer] += 1
+                send_end[peer] = None
+                if stage[peer] < rounds:
+                    seq += 1
+                    heapq.heappush(heap, (nxt, cause[peer], seq, peer))
+    return t_cur, busy

@@ -15,7 +15,7 @@ they get a tight band instead of equality.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import run_static
 from repro.apps import (
@@ -125,6 +125,7 @@ def test_bcast_equivalence(nprocs, root, nbytes, skew):
 @settings(deadline=None, max_examples=30)
 @given(nprocs=st.integers(2, 13), root=st.integers(0, 12),
        nbytes=st.integers(0, 1_000_000), skew=skews)
+@example(nprocs=13, root=2, nbytes=0, skew=[0.0] * 13)
 def test_reduce_equivalence(nprocs, root, nbytes, skew):
     root = root % nprocs
 
