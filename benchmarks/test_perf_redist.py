@@ -10,9 +10,13 @@ loop reference implementation it replaced:
   that runs in *every* mode, phantom included) block-by-block vs
   vectorized + cached;
 * **pack/unpack** — the materialized-mode copy path, per-block slices vs
-  one numpy gather/scatter per aggregated message.  This one is memory-
-  bandwidth-bound at 100x100-element blocks, so its speedup is reported
-  as observed throughput, not asserted.
+  :func:`repro.darray.copy_rect` (``redistribute``'s only copy routine: one
+  direct src->dst block copy per aggregated message).  This one is
+  memory-bandwidth-bound at 100x100-element blocks, so its speedup is
+  reported as observed throughput, not asserted.
+
+The loop references live in ``tests/oracles/redist_loops.py``; this file
+puts ``tests/`` on ``sys.path`` to import them.
 
 Results go to ``BENCH_redist.json`` at the repository root (and a
 human-readable table under ``benchmarks/results/``).  ``BENCH_SMOKE=1``
@@ -24,30 +28,28 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 
 import numpy as np
 
 from repro.blacs import ProcessGrid
 from repro.cluster import Machine, MachineSpec
-from repro.darray import (
-    Descriptor,
-    DistributedMatrix,
-    copy_rect,
-    release_strips,
-)
+from repro.darray import Descriptor, DistributedMatrix, copy_rect
 from repro.metrics import format_table
 from repro.mpi import World
 from repro.redist import redistribute
-from repro.redist.redistribute import (
-    _message_nbytes,
+from repro.redist.redistribute import _message_nbytes
+from repro.redist.schedule import build_2d_schedule
+from repro.redist.tables import cached_2d_schedule, cached_2d_traffic
+from repro.simulate import Environment
+
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "tests"))
+from oracles.redist_loops import (  # noqa: E402
     _message_nbytes_loop,
     _pack_blocks_loop,
     _unpack_blocks_loop,
 )
-from repro.redist.schedule import build_2d_schedule
-from repro.redist.tables import cached_2d_schedule, cached_2d_traffic
-from repro.simulate import Environment
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -145,19 +147,11 @@ def test_perf_redistribution_data_path(report):
                                 _pack_blocks_loop(src, sr, msg))
 
     def run_vec():
-        # The driver's data path: local-copy messages are fused into one
-        # direct src->dst scatter; wire messages pack into pooled strips
-        # that the unpack side recycles (repro.darray.strip_pool).
+        # redistribute's data path: one direct src->dst copy per message,
+        # local and wire messages alike.
         for msg, sr, dr in routed:
-            if sr == dr:
-                copy_rect(src, sr, t_vec_target, dr,
-                          msg.row_blocks, msg.col_blocks)
-                continue
-            strips = src.pack_rect(sr, msg.row_blocks, msg.col_blocks,
-                                   pooled=True)
-            t_vec_target.unpack_rect(dr, msg.row_blocks, msg.col_blocks,
-                                     strips)
-            release_strips(strips)
+            copy_rect(src, sr, t_vec_target, dr,
+                      msg.row_blocks, msg.col_blocks)
 
     # Alternating rounds; the minimum discounts first-touch page
     # faults and scheduler noise on a shared host (the copy path is
@@ -256,7 +250,5 @@ def test_perf_redistribution_data_path(report):
         # redistribution is at least 5x faster than the loop reference.
         assert results["speedup"] >= 5.0, results
         assert results["schedule_build"]["speedup"] >= 5.0, results
-        # The copy path must beat the loop reference: fused local
-        # copies + pooled strips recover the PR 2 regression (0.95x)
-        # and then some.
+        # The copy path must beat the loop reference.
         assert results["pack_unpack"]["speedup"] >= 1.0, results

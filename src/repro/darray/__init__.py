@@ -10,6 +10,11 @@ local storage, in one of two modes:
   examples, where kernels and redistribution are verified numerically.
 * **phantom** — shape-only bookkeeping; used at paper scale, where only
   byte counts (and therefore simulated wire time) matter.
+
+Each rank's code touches only its own local array, with one exception:
+the sender of a redistribution message writes the blocks straight into
+the destination rank's local array (:func:`copy_rect`), standing in for
+the wire.
 """
 
 from repro.darray.blockcyclic import (
@@ -17,30 +22,21 @@ from repro.darray.blockcyclic import (
     concat_ranges,
     cyclic_global_indices,
     global_to_local,
-    local_block_indices,
     local_blocks,
     local_to_global,
     numroc,
 )
 from repro.darray.descriptor import Descriptor
-from repro.darray.distributed import (
-    DistributedMatrix,
-    copy_rect,
-    release_strips,
-    strip_pool,
-)
+from repro.darray.distributed import DistributedMatrix, copy_rect
 
 __all__ = [
     "Descriptor",
     "DistributedMatrix",
     "copy_rect",
-    "release_strips",
-    "strip_pool",
     "block_owner",
     "concat_ranges",
     "cyclic_global_indices",
     "global_to_local",
-    "local_block_indices",
     "local_blocks",
     "local_to_global",
     "numroc",

@@ -125,51 +125,30 @@ def cyclic_global_indices(n: int, nb: int, iproc: int, isrc: int,
 
 
 @lru_cache(maxsize=4096)
-def local_block_spans(n: int, nb: int, blocks: tuple[int, ...],
-                      nprocs: int) -> tuple[tuple[int, int], ...]:
-    """``(local_start, length)`` of each in-range global block of an
-    ``isrc = 0`` layout, on the process owning them.
+def local_block_selector(n: int, nb: int, blocks: tuple[int, ...],
+                         nprocs: int) -> tuple[slice | np.ndarray, int]:
+    """Where global ``blocks`` sit in their owner's local array:
+    ``(full, tail)``.
 
-    The in-range filter and the lengths depend only on the global layout
-    (``n``, ``nb``), so sender and receiver of a redistribution message
-    derive identical span lists from their own descriptors.
+    ``full`` selects the local block numbers (``block // nprocs``) of
+    the full blocks, in the order given: a slice when they form an
+    increasing arithmetic progression (every in-tree schedule's messages
+    do — a CRT class of blocks steps by lcm(P, Q)), a read-only intp
+    array otherwise.  ``tail`` is the length of the trailing partial
+    block when ``blocks`` holds it (on its owner it is the last local
+    block), else 0.  Blocks past the extent are dropped.  Both depend on
+    the global layout only, so the two ends of a redistribution message
+    derive matching selectors from their own descriptors.  Cached:
+    messages repeat across schedule steps and resize points.
     """
-    out = []
-    for block in blocks:
-        length = min(nb, n - block * nb)
-        if length > 0:
-            out.append(((block // nprocs) * nb, length))
-    return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def local_block_numbers(n: int, nb: int, blocks: tuple[int, ...],
-                        nprocs: int) -> np.ndarray:
-    """Local block numbers of the in-range global ``blocks`` on their
-    owner (``isrc = 0``), cached read-only — the index set of a
-    block-granular ``np.take``."""
-    arr = np.asarray(blocks, dtype=np.intp)
-    arr = arr[arr * nb < n]
-    out = arr // nprocs
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=4096)
-def local_block_indices(n: int, nb: int, blocks: tuple[int, ...],
-                        nprocs: int) -> np.ndarray:
-    """Local element indices covered by global ``blocks`` on their owner.
-
-    All ``blocks`` must live on the same process of an ``isrc = 0``
-    layout (true for every redistribution message, whose blocks share
-    one (source, destination) pair).  Blocks past the global extent
-    contribute nothing.  Cached (read-only): messages repeat across
-    schedule steps and resize points.
-    """
-    arr = np.asarray(blocks, dtype=np.intp)
-    lengths = np.clip(n - arr * nb, 0, nb)
-    keep = lengths > 0
-    arr, lengths = arr[keep], lengths[keep]
-    out = concat_ranges((arr // nprocs) * nb, lengths)
-    out.flags.writeable = False
-    return out
+    full_blocks, tail = divmod(n, nb)
+    local = [block // nprocs for block in blocks if block < full_blocks]
+    steps = {b - a for a, b in zip(local, local[1:])}
+    if len(steps) > 1 or min(steps, default=1) < 1:
+        full = np.array(local, dtype=np.intp)
+        full.flags.writeable = False
+    elif local:
+        full = slice(local[0], local[-1] + 1, steps.pop() if steps else 1)
+    else:
+        full = slice(0, 0)
+    return full, (tail if full_blocks in blocks else 0)

@@ -4,15 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.blacs.grid import ProcessGrid
-from repro.darray.blockcyclic import (
-    block_owner,
-    cyclic_global_indices,
-    local_blocks,
-    numroc,
-)
+from repro.darray.blockcyclic import block_owner, local_blocks, numroc
 
 
 @dataclass(frozen=True)
@@ -87,18 +80,6 @@ class Descriptor:
     def my_col_blocks(self, pcol: int) -> list[tuple[int, int, int]]:
         """Column blocks owned by grid column ``pcol``."""
         return local_blocks(self.n, self.nb, pcol, self.csrc, self.grid.pc)
-
-    def global_row_indices(self, prow: int) -> np.ndarray:
-        """Global row index of every local row on grid row ``prow``, in
-        local storage order (cached, read-only)."""
-        return cyclic_global_indices(self.m, self.mb, prow, self.rsrc,
-                                     self.grid.pr)
-
-    def global_col_indices(self, pcol: int) -> np.ndarray:
-        """Global column index of every local column on grid column
-        ``pcol``, in local storage order (cached, read-only)."""
-        return cyclic_global_indices(self.n, self.nb, pcol, self.csrc,
-                                     self.grid.pc)
 
     def with_grid(self, grid: ProcessGrid) -> "Descriptor":
         """Same global array and blocking, different process grid."""

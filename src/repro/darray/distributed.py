@@ -2,118 +2,21 @@
 
 The simulator is a single OS process, so a :class:`DistributedMatrix`
 holds every rank's local array in one list; rank code only ever touches
-its own entry (``local(rank)``), preserving SPMD discipline.  In phantom
-mode the list holds ``None`` and only shapes/bytes are tracked.
+its own entry (``local(rank)``), preserving SPMD discipline.  The one
+exception is a redistribution message: its sender writes the blocks
+straight into the destination rank's local array (:func:`copy_rect`),
+standing in for the wire.  In phantom mode the list holds ``None`` and
+only shapes/bytes are tracked.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
-from repro.darray.blockcyclic import (
-    local_block_indices,
-    local_block_numbers,
-    local_block_spans,
-)
+from repro.darray.blockcyclic import local_block_selector
 from repro.darray.descriptor import Descriptor
-
-
-class StripPool:
-    """Reusable wire-format strip buffers for the redistribution copy path.
-
-    A redistribution's aggregated messages repeat the same strip shapes
-    at every step and at every resize point; allocating them fresh costs
-    first-touch page faults that show up directly in the memory-bound
-    copy path.  The pool recycles buffers by (shape, dtype) — callers
-    take strips during pack and give them back after unpack.
-    """
-
-    #: Buffers kept per (shape, dtype) key; beyond this they are dropped
-    #: back to the allocator so the pool stays bounded.
-    max_per_key = 32
-    #: Total retained bytes across all keys; give() drops buffers past
-    #: this, so a session cycling through many distinct layouts cannot
-    #: accumulate unbounded dead memory.
-    budget_bytes = 256 * 2**20
-
-    def __init__(self):
-        self._free: dict[tuple, list] = {}
-        self._bytes = 0
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        stack = self._free.get((shape, dtype))
-        if stack:
-            array = stack.pop()
-            self._bytes -= array.nbytes
-            return array
-        return np.empty(shape, dtype=dtype)
-
-    def give(self, array: np.ndarray) -> None:
-        if self._bytes + array.nbytes > self.budget_bytes:
-            return
-        key = (array.shape, array.dtype)
-        stack = self._free.setdefault(key, [])
-        if len(stack) < self.max_per_key:
-            stack.append(array)
-            self._bytes += array.nbytes
-
-    def clear(self) -> None:
-        self._free.clear()
-        self._bytes = 0
-
-
-strip_pool = StripPool()
-
-
-def release_strips(strips: list) -> None:
-    """Return a consumed :meth:`DistributedMatrix.pack_rect` payload's
-    buffers to the shared pool (only for ``pooled=True`` packs)."""
-    for strip in strips:
-        strip_pool.give(strip)
-
-
-class _PathTimer:
-    """Runtime choice between equivalent copy strategies.
-
-    The gather/scatter and slice-run paths produce identical bytes but
-    their relative speed depends on block geometry and the BLAS/host —
-    measured, not guessed: the first few calls of each strategy per
-    layout key are timed (keeping each strategy's best per-byte cost,
-    so one scheduler hiccup cannot lock in the wrong path), after which
-    the faster one handles that layout.
-    """
-
-    __slots__ = ("_times", "_counts")
-
-    #: Samples per strategy before locking the choice in.
-    trials = 3
-
-    def __init__(self):
-        self._times: dict[tuple, dict[str, float]] = {}
-        self._counts: dict[tuple, dict[str, int]] = {}
-
-    def pick(self, key: tuple, names: tuple) -> tuple[str, bool]:
-        """``(strategy, measure)`` — measure is True while exploring."""
-        counts = self._counts.setdefault(key, {})
-        for name in names:
-            if counts.get(name, 0) < self.trials:
-                return name, True
-        return min(self._times[key], key=self._times[key].get), False
-
-    def record(self, key: tuple, name: str, seconds: float,
-               nbytes: int) -> None:
-        per_byte = seconds / max(nbytes, 1)
-        seen = self._times.setdefault(key, {})
-        if name not in seen or per_byte < seen[name]:
-            seen[name] = per_byte
-        self._counts[key][name] = self._counts[key].get(name, 0) + 1
-
-
-_pack_paths = _PathTimer()
-_unpack_paths = _PathTimer()
 
 
 class DistributedMatrix:
@@ -122,6 +25,10 @@ class DistributedMatrix:
     ``materialized=True`` allocates a real numpy local array per rank;
     ``materialized=False`` (phantom) tracks only the layout, which is all
     the paper-scale simulations need to charge communication time.
+
+    Each rank owns its ``local(rank)`` entry, except that the sender of
+    a redistribution message copies into the destination rank's local
+    array directly (:func:`copy_rect`) in place of a wire payload.
     """
 
     def __init__(self, desc: Descriptor, *, materialized: bool = True,
@@ -165,18 +72,17 @@ class DistributedMatrix:
                     ) -> "DistributedMatrix":
         """Deal a global array out according to ``desc`` (materialized).
 
-        One gather per rank: ``local[i, j] = global[gr[i], gc[j]]`` where
-        ``gr``/``gc`` are the rank's global index tables.
+        Per rank, the same block-view copy as :func:`copy_rect`, with the
+        global array as the ``1 x 1`` layout of the same blocks.
         """
         if global_array.shape != (desc.m, desc.n):
             raise ValueError(f"array shape {global_array.shape} != "
                              f"({desc.m},{desc.n})")
         dm = cls(desc, materialized=True, dtype=global_array.dtype)
         for rank in range(desc.grid.size):
-            prow, pcol = desc.grid.coords(rank)
-            grows = desc.global_row_indices(prow)
-            gcols = desc.global_col_indices(pcol)
-            dm.local(rank)[...] = global_array[np.ix_(grows, gcols)]
+            rows, cols = _owned_blocks(desc, rank)
+            _copy_pieces(dm._pieces(rank, rows, cols),
+                         _block_pieces(global_array, desc, rows, cols, 1, 1))
         return dm
 
     def to_global(self) -> np.ndarray:
@@ -184,12 +90,11 @@ class DistributedMatrix:
         if not self.materialized:
             raise RuntimeError("cannot gather a phantom matrix")
         desc = self.desc
-        out = np.zeros((desc.m, desc.n), dtype=self.dtype)
+        out = np.empty((desc.m, desc.n), dtype=self.dtype)
         for rank in range(desc.grid.size):
-            prow, pcol = desc.grid.coords(rank)
-            grows = desc.global_row_indices(prow)
-            gcols = desc.global_col_indices(pcol)
-            out[np.ix_(grows, gcols)] = self.local(rank)
+            rows, cols = _owned_blocks(desc, rank)
+            _copy_pieces(_block_pieces(out, desc, rows, cols, 1, 1),
+                         self._pieces(rank, rows, cols))
         return out
 
     # -- block addressing within local storage ------------------------------
@@ -216,172 +121,95 @@ class DistributedMatrix:
         clen = min(desc.nb, desc.n - bcol * desc.nb)
         return slice(rstart, rstart + rlen), slice(cstart, cstart + clen)
 
-    # -- vectorized block-rectangle access (redistribution hot path) ---------
-    #
-    # The wire format of one aggregated message is a list of row strips:
-    # one 2-D array per in-range row block, its columns the in-range
-    # column blocks concatenated in message order.  Strip shapes depend
-    # only on the global layout (m, n, mb, nb), so the sender and
-    # receiver — whose grids differ — agree on the format without
-    # negotiation.  Row-strip temporaries stay small enough for the heap
-    # allocator to recycle, which keeps a cold redistribution free of
-    # the page-fault churn a monolithic buffer per message would pay.
-    def _col_plan(self, col_blocks: tuple[int, ...]):
-        """How to move this message's columns within a local strip.
-
-        Block-granular ``np.take``/assignment when every in-range column
-        block is full and the local array tiles evenly (the common
-        case); element-index gather/scatter otherwise.  Both produce
-        byte-identical strips.
-        """
+    # -- block-rectangle copies -------------------------------------------
+    def _pieces(self, rank: int, row_blocks: tuple[int, ...],
+                col_blocks: tuple[int, ...]) -> list[tuple]:
         desc = self.desc
-        if desc.rsrc != 0 or desc.csrc != 0:
-            raise NotImplementedError(
-                "block addressing assumes rsrc == csrc == 0")
-        spans = local_block_spans(desc.n, desc.nb, col_blocks,
-                                  desc.grid.pc)
-        return spans, local_block_numbers(desc.n, desc.nb, col_blocks,
-                                          desc.grid.pc)
-
-    def _pack_key(self, cspans, granular: bool) -> tuple:
-        """Layout signature for the runtime path choice (geometry that
-        decides gather vs slice-run speed)."""
-        return (self.desc.nb, len(cspans), self.dtype.itemsize, granular)
+        return _block_pieces(self.local(rank), desc, row_blocks, col_blocks,
+                             desc.grid.pr, desc.grid.pc)
 
     def pack_rect(self, rank: int, row_blocks: tuple[int, ...],
-                  col_blocks: tuple[int, ...], *,
-                  pooled: bool = False) -> list[np.ndarray]:
-        """Gather the cross product ``row_blocks x col_blocks`` from
-        ``rank``'s local array into the message wire format (one dense
-        strip per in-range row block).
+                  col_blocks: tuple[int, ...]) -> list[np.ndarray]:
+        """Copy ``row_blocks x col_blocks`` out of ``rank``'s local array,
+        one dense array per block piece (see :func:`copy_rect`).
 
-        The caller must ensure ``rank`` owns every in-range block (true
-        for schedule messages).  With ``pooled=True`` the strips come
-        from the shared :class:`StripPool`; the consumer must hand them
-        back via :func:`release_strips` after unpacking.  The gather
-        strategy (block-granular ``np.take`` vs per-span slice runs) is
-        chosen at runtime per layout (see :class:`_PathTimer`); both
-        produce byte-identical strips.
+        A redistribution never packs — :func:`copy_rect` writes the
+        destination directly; this wire format is for tests.
         """
-        desc = self.desc
-        loc = self.local(rank)
-        cspans, cblocks = self._col_plan(col_blocks)
-        rspans = local_block_spans(desc.m, desc.mb, row_blocks,
-                                   desc.grid.pr)
-        width = sum(l for _s, l in cspans)
-        granular = (all(l == desc.nb for _s, l in cspans)
-                    and loc.shape[1] % desc.nb == 0)
-        key = self._pack_key(cspans, granular)
-        strategy, measure = _pack_paths.pick(
-            key, ("take", "slices") if granular else ("gather", "slices"))
-        t0 = time.perf_counter() if measure else 0.0
-
-        out = []
-        if strategy == "take":
-            tiled = loc.reshape(loc.shape[0], loc.shape[1] // desc.nb,
-                                desc.nb)
-            for rs, rl in rspans:
-                strip = (strip_pool.take((rl, width), self.dtype)
-                         if pooled else np.empty((rl, width), self.dtype))
-                np.take(tiled[rs:rs + rl], cblocks, axis=1,
-                        out=strip.reshape(rl, len(cspans), desc.nb))
-                out.append(strip)
-        elif strategy == "gather":
-            cidx = local_block_indices(desc.n, desc.nb, col_blocks,
-                                       desc.grid.pc)
-            for rs, rl in rspans:
-                strip = (strip_pool.take((rl, width), self.dtype)
-                         if pooled else np.empty((rl, width), self.dtype))
-                np.take(loc[rs:rs + rl], cidx, axis=1, out=strip)
-                out.append(strip)
-        else:  # "slices": one contiguous copy per (row strip, col span)
-            for rs, rl in rspans:
-                strip = (strip_pool.take((rl, width), self.dtype)
-                         if pooled else np.empty((rl, width), self.dtype))
-                off = 0
-                for cs, cl in cspans:
-                    strip[:, off:off + cl] = loc[rs:rs + rl, cs:cs + cl]
-                    off += cl
-                out.append(strip)
-        if measure:
-            nbytes = sum(s.nbytes for s in out)
-            _pack_paths.record(key, strategy,
-                               time.perf_counter() - t0, nbytes)
-        return out
+        return [view[key].copy()
+                for view, key in self._pieces(rank, row_blocks, col_blocks)]
 
     def unpack_rect(self, rank: int, row_blocks: tuple[int, ...],
                     col_blocks: tuple[int, ...],
-                    strips: list[np.ndarray]) -> None:
-        """Scatter a :meth:`pack_rect` payload into ``rank``'s local array."""
-        desc = self.desc
-        loc = self.local(rank)
-        cspans, cblocks = self._col_plan(col_blocks)
-        rspans = local_block_spans(desc.m, desc.mb, row_blocks,
-                                   desc.grid.pr)
-        granular = (all(l == desc.nb for _s, l in cspans)
-                    and loc.shape[1] % desc.nb == 0)
-        key = self._pack_key(cspans, granular)
-        strategy, measure = _unpack_paths.pick(
-            key, ("take", "slices") if granular else ("gather", "slices"))
-        t0 = time.perf_counter() if measure else 0.0
-
-        if strategy == "take":
-            tiled = loc.reshape(loc.shape[0], loc.shape[1] // desc.nb,
-                                desc.nb)
-            for (rs, rl), strip in zip(rspans, strips):
-                tiled[rs:rs + rl][:, cblocks, :] = \
-                    strip.reshape(rl, len(cspans), desc.nb)
-        elif strategy == "gather":
-            cidx = local_block_indices(desc.n, desc.nb, col_blocks,
-                                       desc.grid.pc)
-            for (rs, rl), strip in zip(rspans, strips):
-                loc[rs:rs + rl][:, cidx] = strip
-        else:
-            for (rs, rl), strip in zip(rspans, strips):
-                off = 0
-                for cs, cl in cspans:
-                    loc[rs:rs + rl, cs:cs + cl] = strip[:, off:off + cl]
-                    off += cl
-        if measure:
-            nbytes = sum(s.nbytes for s in strips)
-            _unpack_paths.record(key, strategy,
-                                 time.perf_counter() - t0, nbytes)
+                    pieces: list[np.ndarray]) -> None:
+        """Write a :meth:`pack_rect` payload into ``rank``'s local array."""
+        for (view, key), piece in zip(
+                self._pieces(rank, row_blocks, col_blocks), pieces,
+                strict=True):
+            view[key] = piece
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "materialized" if self.materialized else "phantom"
         return f"<DistributedMatrix {self.desc} {mode}>"
 
 
+def _block_pieces(array: np.ndarray, desc: Descriptor,
+                  row_blocks: tuple[int, ...], col_blocks: tuple[int, ...],
+                  pr: int, pc: int) -> list[tuple]:
+    """``(view, key)`` pairs such that ``view[key]`` over all pairs holds
+    global blocks ``row_blocks x col_blocks`` of ``array``, the local
+    array of a ``pr x pc`` deal of ``desc``'s blocks (``1 x 1``: the
+    global array itself).
+
+    The pieces are the full-block core of a ``(row blocks, col blocks,
+    mb, nb)`` view, then the trailing partial row block, the trailing
+    partial column block and their corner when the message holds them.
+    Piece shapes depend only on the global layout, so two layouts'
+    pieces of one message pair up for assignment.
+    """
+    mb, nb = desc.mb, desc.nb
+    rsel, rtail = local_block_selector(desc.m, mb, row_blocks, pr)
+    csel, ctail = local_block_selector(desc.n, nb, col_blocks, pc)
+    fr, fc = array.shape[0] // mb, array.shape[1] // nb
+    r, c = fr * mb, fc * nb
+    core = (np.ix_(rsel, csel) if isinstance(rsel, np.ndarray)
+            and isinstance(csel, np.ndarray) else (rsel, csel))
+    pieces = [(array[:r, :c].reshape(fr, mb, fc, nb).swapaxes(1, 2), core)]
+    if rtail:
+        pieces.append((array[r:, :c].reshape(rtail, fc, nb),
+                       (slice(None), csel)))
+    if ctail:
+        pieces.append((array[:r, c:].reshape(fr, mb, ctail), rsel))
+    if rtail and ctail:
+        pieces.append((array[r:, c:], ...))
+    return pieces
+
+
+def _copy_pieces(dst: list[tuple], src: list[tuple]) -> None:
+    for (dst_view, dst_key), (src_view, src_key) in zip(dst, src,
+                                                         strict=True):
+        dst_view[dst_key] = src_view[src_key]
+
+
+def _owned_blocks(desc: Descriptor, rank: int):
+    """Global ``(row blocks, col blocks)`` held by ``rank``."""
+    prow, pcol = desc.grid.coords(rank)
+    pr, pc = desc.grid.shape
+    return (tuple(range((prow - desc.rsrc) % pr, desc.row_blocks, pr)),
+            tuple(range((pcol - desc.csrc) % pc, desc.col_blocks, pc)))
+
+
 def copy_rect(src_dm: DistributedMatrix, src_rank: int,
               dst_dm: DistributedMatrix, dst_rank: int,
               row_blocks: tuple[int, ...],
               col_blocks: tuple[int, ...]) -> None:
-    """Fused local-copy message: scatter ``row_blocks x col_blocks``
-    straight from ``src_rank``'s local array into ``dst_rank``'s.
+    """Copy blocks ``row_blocks x col_blocks`` from ``src_rank``'s local
+    array straight into ``dst_rank``'s — the whole data movement of one
+    redistribution message, at most four strided numpy assignments.
 
-    Equivalent to ``dst.unpack_rect(..., src.pack_rect(...))`` but with
-    no wire-format temporaries at all — one contiguous slice copy per
-    (row strip, column span) pair.  Local copies are the largest
-    messages of a redistribution (everything that did not change owner),
-    so halving their memory traffic is the single biggest copy-path win.
+    The two matrices share the global layout and may differ in grid; the
+    caller must ensure each rank owns every in-range block (true for
+    schedule messages).
     """
-    src_desc = src_dm.desc
-    dst_desc = dst_dm.desc
-    if src_desc.rsrc != 0 or src_desc.csrc != 0 \
-            or dst_desc.rsrc != 0 or dst_desc.csrc != 0:
-        raise NotImplementedError(
-            "block addressing assumes rsrc == csrc == 0")
-    src = src_dm.local(src_rank)
-    dst = dst_dm.local(dst_rank)
-    src_rspans = local_block_spans(src_desc.m, src_desc.mb, row_blocks,
-                                   src_desc.grid.pr)
-    dst_rspans = local_block_spans(dst_desc.m, dst_desc.mb, row_blocks,
-                                   dst_desc.grid.pr)
-    src_cspans = local_block_spans(src_desc.n, src_desc.nb, col_blocks,
-                                   src_desc.grid.pc)
-    dst_cspans = local_block_spans(dst_desc.n, dst_desc.nb, col_blocks,
-                                   dst_desc.grid.pc)
-    for (srs, rl), (drs, _drl) in zip(src_rspans, dst_rspans):
-        for (scs, cl), (dcs, _dcl) in zip(src_cspans, dst_cspans):
-            dst[drs:drs + rl, dcs:dcs + cl] = src[srs:srs + rl,
-                                                  scs:scs + cl]
+    _copy_pieces(dst_dm._pieces(dst_rank, row_blocks, col_blocks),
+                 src_dm._pieces(src_rank, row_blocks, col_blocks))

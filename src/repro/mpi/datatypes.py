@@ -38,24 +38,8 @@ class Phantom:
                 and other.meta == self.meta)
 
     def __hash__(self) -> int:
-        return hash((self.nbytes, id(self.meta)))
-
-
-class SizedPayload:
-    """Real data carried with an explicitly declared wire size.
-
-    Used where the logical message size is known exactly (e.g. packed
-    redistribution blocks) and must not depend on Python container
-    overhead — phantom and materialized runs then charge identical time.
-    """
-
-    __slots__ = ("nbytes", "data")
-
-    def __init__(self, nbytes: int, data: Any):
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self.nbytes = int(nbytes)
-        self.data = data
+        # Only fields __eq__ compares: equal phantoms must hash equal.
+        return hash(self.nbytes)
 
 
 #: Fixed per-message envelope overhead charged on the wire (headers).
@@ -71,7 +55,7 @@ def payload_nbytes(payload: Any) -> int:
     """
     if payload is None:
         return 0
-    if isinstance(payload, (Phantom, SizedPayload)):
+    if isinstance(payload, Phantom):
         return payload.nbytes
     if isinstance(payload, np.ndarray):
         return payload.nbytes

@@ -15,26 +15,27 @@ destination ranks are the survivors.
 Each schedule step sends one aggregated message per (source,
 destination) pair: the sender packs its blocks into one buffer (packing
 charged at memory bandwidth), ships it (wire time + NIC occupancy), and
-the receiver unpacks into the new local array.  Messages to self are
-local copies — packing cost only.
+the receiver unpacks into the new local array (charged likewise).
+Messages to self are local copies — packing cost only.
 
 Data path
 ---------
-Packing, unpacking and byte counting run on precomputed index tables
-(:mod:`repro.redist.tables`, :mod:`repro.darray.blockcyclic`): one numpy
-gather/scatter per aggregated message instead of one Python-level copy
-per block.  Messages-to-self skip the wire format entirely (a fused
-src->dst scatter, :func:`repro.darray.copy_rect`); wire messages pack
-into pooled strip buffers that the unpack side recycles across steps
-and resize points, and the gather strategy is picked at runtime per
-layout.  The original per-block loops are kept below as ``*_loop``
-reference implementations; the equivalence tests and the
-``benchmarks/test_perf_redist.py`` micro-benchmark compare against them.
+One copy per message, made by the sender at send time:
+:func:`repro.darray.copy_rect` writes the message's blocks from the
+sender's local array straight into the destination rank's local array
+of the shared target matrix — at most four strided numpy assignments,
+no wire buffer and no unpack.  The simulator is one OS process, so this
+stands in for the bytes crossing the wire; nobody reads the target
+before the closing barrier, by which time every message has been sent.
 
-In phantom mode the messages themselves ride the point-to-point fast
-path (:mod:`repro.mpi.fastp2p`): a step's delivery is the cached
-per-rank plan walk plus pure clock arithmetic — no transfer processes,
-no NIC resource events.
+The wire itself carries a :class:`~repro.mpi.Phantom` of the message's
+byte count in both modes, so a materialized redistribution sends the
+very payloads a phantom one does and their clocks agree by
+construction.  Those messages ride the point-to-point fast path
+(:mod:`repro.mpi.fastp2p`): a step's delivery is the cached per-rank
+plan walk plus pure clock arithmetic — no transfer processes, no NIC
+resource events.  Byte counts come from precomputed tables
+(:mod:`repro.redist.tables`).
 """
 
 from __future__ import annotations
@@ -42,18 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-import numpy as np
-
 from repro.blacs.grid import ProcessGrid
-from repro.darray import (
-    Descriptor,
-    DistributedMatrix,
-    copy_rect,
-    release_strips,
-)
+from repro.darray import Descriptor, DistributedMatrix, copy_rect
 from repro.mpi import ANY_SOURCE, Phantom
 from repro.mpi.comm import Comm
-from repro.mpi.datatypes import SizedPayload
 from repro.mpi.errors import MPIError
 from repro.redist.schedule import Message2D, Schedule2D
 from repro.redist.tables import (
@@ -104,51 +97,6 @@ def _schedule_traffic(schedule: Schedule2D, desc: Descriptor,
                             desc.itemsize)
 
 
-# ---------------------------------------------------------------------------
-# Per-block reference implementations (the pre-vectorization data path).
-# Kept for the equivalence property tests and the micro-benchmark; the
-# driver below never calls them.
-# ---------------------------------------------------------------------------
-
-def _message_nbytes_loop(desc: Descriptor, msg: Message2D) -> int:
-    """Reference: payload bytes summed block by block."""
-    total = 0
-    for rb in msg.row_blocks:
-        rlen = min(desc.mb, desc.m - rb * desc.mb)
-        if rlen <= 0:
-            continue
-        for cb in msg.col_blocks:
-            clen = min(desc.nb, desc.n - cb * desc.nb)
-            if clen <= 0:
-                continue
-            total += rlen * clen * desc.itemsize
-    return total
-
-
-def _pack_blocks_loop(src_dm: DistributedMatrix, rank: int,
-                      msg: Message2D) -> list[tuple[int, int, np.ndarray]]:
-    """Reference: extract the message's blocks one numpy slice at a time."""
-    out = []
-    desc = src_dm.desc
-    for rb in msg.row_blocks:
-        if rb * desc.mb >= desc.m:
-            continue
-        for cb in msg.col_blocks:
-            if cb * desc.nb >= desc.n:
-                continue
-            rs, cs = src_dm.local_block_slices(rank, rb, cb)
-            out.append((rb, cb, src_dm.local(rank)[rs, cs].copy()))
-    return out
-
-
-def _unpack_blocks_loop(dst_dm: DistributedMatrix, rank: int,
-                        blocks: list[tuple[int, int, np.ndarray]]) -> None:
-    """Reference: place received blocks one numpy slice at a time."""
-    for rb, cb, data in blocks:
-        rs, cs = dst_dm.local_block_slices(rank, rb, cb)
-        dst_dm.local(rank)[rs, cs] = data
-
-
 def redistribute(comm: Comm, source: DistributedMatrix,
                  new_grid: ProcessGrid, *,
                  schedule: Optional[Schedule2D] = None,
@@ -167,13 +115,17 @@ def redistribute(comm: Comm, source: DistributedMatrix,
     if comm.size < max(P, Q):
         raise MPIError(f"communicator size {comm.size} cannot embed grids "
                        f"of {P} and {Q}")
+    if old_desc.rsrc or old_desc.csrc:
+        raise NotImplementedError(
+            "redistribution schedules assume rsrc == csrc == 0")
     new_desc = old_desc.with_grid(new_grid)
     me = comm.rank
     in_new = me < Q
 
     # The simulator is one OS process, so the destination matrix is a
     # single shared object: rank 0 allocates it and shares the reference
-    # (a tiny broadcast); each rank then fills only its own local array.
+    # (a tiny broadcast); senders then copy each message's blocks into
+    # the destination rank's local array.
     target: Optional[DistributedMatrix] = None
     if me == 0:
         target = DistributedMatrix(new_desc,
@@ -219,27 +171,18 @@ def redistribute(comm: Comm, source: DistributedMatrix,
         for msg, dst_rank, nbytes in rank_step.sends:
             # Packing: one pass over the message payload through memory.
             yield comm.env.sleep(nbytes / memory_bandwidth)
+            if source.materialized:
+                # The message's only copy: straight into the destination
+                # rank's local array (see "Data path" above).
+                assert target is not None
+                copy_rect(source, me, target, dst_rank,
+                          msg.row_blocks, msg.col_blocks)
             if dst_rank == me:
-                # Local copy: no wire traffic, and no wire format — a
-                # fused src->dst scatter with no strip temporaries.
-                if source.materialized:
-                    assert target is not None
-                    copy_rect(source, me, target, me,
-                              msg.row_blocks, msg.col_blocks)
                 result.local_copies += 1
                 continue
-            if source.materialized:
-                # Pooled strips: the receiver releases them after
-                # unpacking, so repeated steps and resize points reuse
-                # the same buffers instead of paying allocator
-                # page-fault churn.
-                payload: object = SizedPayload(
-                    nbytes, (msg, source.pack_rect(me, msg.row_blocks,
-                                                   msg.col_blocks,
-                                                   pooled=True)))
-            else:
-                payload = Phantom(nbytes, meta=("redist", msg.src, msg.dst))
-            pending.append(comm.isend(payload, dest=dst_rank, tag=tag))
+            pending.append(comm.isend(
+                Phantom(nbytes, meta=("redist", msg.src, msg.dst)),
+                dest=dst_rank, tag=tag))
             result.messages += 1
             result.bytes_moved += nbytes
         # A contention-free schedule gives each rank at most one receive
@@ -247,16 +190,8 @@ def redistribute(comm: Comm, source: DistributedMatrix,
         # give several — accept them in arrival order.
         for _ in range(rank_step.recv_count):
             payload = yield from comm.recv(source=ANY_SOURCE, tag=tag)
-            nbytes = payload.nbytes
-            if source.materialized:
-                assert target is not None
-                assert isinstance(payload, SizedPayload)
-                msg, data = payload.data
-                target.unpack_rect(me, msg.row_blocks, msg.col_blocks,
-                                   data)
-                release_strips(data)
             # Unpacking pass through memory on the receive side.
-            yield comm.env.sleep(nbytes / memory_bandwidth)
+            yield comm.env.sleep(payload.nbytes / memory_bandwidth)
         for req in pending:
             yield from req.wait()
 

@@ -317,3 +317,16 @@ def test_phantom_payload_roundtrip():
 
     _, values = run_spmd(main, nprocs=2)
     assert values[1] == (1000, "blockA")
+
+
+def test_equal_phantoms_hash_equal():
+    """Hash agrees with __eq__, which compares meta by value."""
+    a = Phantom(8, meta=("redist", (0, 0), (0, 1)))
+    b = Phantom(8, meta=tuple(["redist", (0, 0), (0, 1)]))
+    assert a.meta is not b.meta
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({a, Phantom(8, meta=("redist", (0, 0), (1, 1)))}) == 2
+    # Unhashable meta is allowed: only nbytes feeds the hash.
+    assert hash(Phantom(8, meta=["blockA"])) == hash(Phantom(8))

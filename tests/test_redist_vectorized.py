@@ -1,14 +1,19 @@
 """Equivalence of the vectorized redistribution data path with the
 per-block loop reference implementations it replaced.
 
-The loop implementations (``*_loop`` in ``repro.redist.redistribute``)
-are the pre-vectorization code, kept precisely so these tests and the
+The loop implementations (``tests/oracles/redist_loops.py``) are the
+pre-vectorization code, kept precisely so these tests and the
 micro-benchmark can compare against them.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.redist_loops import (
+    _message_nbytes_loop,
+    _pack_blocks_loop,
+    _unpack_blocks_loop,
+)
 
 from repro.blacs import ProcessGrid
 from repro.darray import Descriptor, DistributedMatrix
@@ -17,12 +22,7 @@ from repro.darray.blockcyclic import (
     cyclic_global_indices,
     local_to_global,
 )
-from repro.redist.redistribute import (
-    _message_nbytes,
-    _message_nbytes_loop,
-    _pack_blocks_loop,
-    _unpack_blocks_loop,
-)
+from repro.redist.redistribute import _message_nbytes
 from repro.redist.schedule import build_2d_schedule
 from repro.redist.tables import (
     blocks_extent,
