@@ -8,7 +8,6 @@ iteration times (Figure 2(a)).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -42,8 +41,7 @@ def run_static(app: Application, config: tuple[int, int], *,
                machine_spec: Optional[MachineSpec] = None,
                processors: Optional[Sequence[int]] = None,
                verify: bool = False,
-               collective_fastpath: bool = True,
-               spec: Optional[MachineSpec] = None) -> StaticRunResult:
+               collective_fastpath: bool = True) -> StaticRunResult:
     """Run ``app`` on a fixed ``(pr, pc)`` grid; returns per-iteration times.
 
     Builds its own environment/machine unless given one.  ``processors``
@@ -53,13 +51,6 @@ def run_static(app: Application, config: tuple[int, int], *,
     variant runs the same code path (the fast path's structural gate
     depends on the spec; see docs/phantom.md).
     """
-    if spec is not None:
-        # One-release shim: "spec" now means a ScenarioSpec at the API
-        # surface (repro.run / repro.sweep); the machine description
-        # keyword is machine_spec.
-        warnings.warn("run_static(spec=...) is deprecated; pass "
-                      "machine_spec=...", DeprecationWarning, stacklevel=2)
-        machine_spec = machine_spec if machine_spec is not None else spec
     pr, pc = config
     nprocs = pr * pc
     own_env = env is None

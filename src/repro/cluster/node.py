@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Generator
+from functools import cached_property
+from typing import Generator, Optional
 
 from repro.simulate import Environment, Resource
 
@@ -24,8 +25,6 @@ class Nic:
         self.env = env
         #: Sustained point-to-point bandwidth in bytes/second.
         self.bandwidth = bandwidth
-        self.tx = Resource(env, capacity=1)
-        self.rx = Resource(env, capacity=1)
         #: Engine availability as seen by the phantom fast path
         #: (``[tx_free, rx_free]`` simulated times).  Fast-path traffic
         #: (point-to-point and collectives) does not hold the
@@ -36,6 +35,16 @@ class Nic:
         #: Cumulative bytes moved, for utilization accounting.
         self.bytes_sent = 0
         self.bytes_received = 0
+
+    # The engines are built on first use: only event-path transfers
+    # (``Network.transfer``) hold them, and most machines never run one.
+    @cached_property
+    def tx(self) -> Resource:
+        return Resource(self.env, capacity=1)
+
+    @cached_property
+    def rx(self) -> Resource:
+        return Resource(self.env, capacity=1)
 
 
 class Node:
@@ -90,24 +99,44 @@ class Disk:
         self.bytes_written = 0
         self.bytes_read = 0
 
-    def write(self, nbytes: int) -> Generator:
-        """Write ``nbytes`` to disk (serialized with other disk users)."""
+    def write_time(self, nbytes: int) -> float:
+        """Seconds one write of ``nbytes`` holds the disk."""
+        return self.seek_time + nbytes / self.write_bandwidth
+
+    def read_time(self, nbytes: int) -> float:
+        """Seconds one read of ``nbytes`` holds the disk."""
+        return self.seek_time + nbytes / self.read_bandwidth
+
+    def write(self, nbytes: int, start: Optional[float] = None
+              ) -> Generator:
+        """Write ``nbytes`` to disk (serialized with other disk users).
+
+        With ``start`` the caller has proved the disk idle (a closed-form
+        walk): the write is booked at once and the generator returns its
+        end time without yielding.
+        """
+        if start is not None:
+            self.bytes_written += nbytes
+            return start + self.write_time(nbytes)
         req = self._lock.request()
         yield req
         try:
-            yield self.env.sleep(self.seek_time +
-                                 nbytes / self.write_bandwidth)
+            yield self.env.sleep(self.write_time(nbytes))
             self.bytes_written += nbytes
         finally:
             self._lock.release(req)
 
-    def read(self, nbytes: int) -> Generator:
-        """Read ``nbytes`` from disk (serialized with other disk users)."""
+    def read(self, nbytes: int, start: Optional[float] = None
+             ) -> Generator:
+        """Read ``nbytes`` from disk (serialized with other disk users);
+        ``start`` as for :meth:`write`."""
+        if start is not None:
+            self.bytes_read += nbytes
+            return start + self.read_time(nbytes)
         req = self._lock.request()
         yield req
         try:
-            yield self.env.sleep(self.seek_time +
-                                 nbytes / self.read_bandwidth)
+            yield self.env.sleep(self.read_time(nbytes))
             self.bytes_read += nbytes
         finally:
             self._lock.release(req)

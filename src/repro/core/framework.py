@@ -14,7 +14,6 @@ Table 4/5 comparisons are apples-to-apples.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 from repro.apps.base import Application
@@ -52,15 +51,7 @@ class ReshapeFramework:
                  sweet_spot: Union[SweetSpotPolicy, str, None] = None,
                  expansion: Union[ExpansionPolicy, str, None] = None,
                  redistribution_method: str = "reshape",
-                 rpc_latency: float = 2e-3,
-                 spec: Optional[MachineSpec] = None):
-        if spec is not None:
-            # One-release shim: ``spec=`` predates the declarative
-            # ScenarioSpec layer, where "spec" now means the scenario.
-            warnings.warn("ReshapeFramework(spec=...) is deprecated; "
-                          "pass machine_spec=...", DeprecationWarning,
-                          stacklevel=2)
-            machine_spec = machine_spec if machine_spec is not None else spec
+                 rpc_latency: float = 2e-3):
         self.env = env or Environment()
         self.machine = machine or Machine(self.env,
                                           machine_spec or MachineSpec())

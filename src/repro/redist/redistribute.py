@@ -31,23 +31,35 @@ before the closing barrier, by which time every message has been sent.
 The wire itself carries a :class:`~repro.mpi.Phantom` of the message's
 byte count in both modes, so a materialized redistribution sends the
 very payloads a phantom one does and their clocks agree by
-construction.  Those messages ride the point-to-point fast path
-(:mod:`repro.mpi.fastp2p`): a step's delivery is the cached per-rank
-plan walk plus pure clock arithmetic — no transfer processes, no NIC
-resource events.  Byte counts come from precomputed tables
+construction.  Byte counts come from precomputed tables
 (:mod:`repro.redist.tables`).
+
+Which path runs: when the run's state proves the redistribution alone
+on a quiet network and the schedule is a partial permutation per step,
+:mod:`repro.redist.walk` computes every rank's completion in closed
+form — from the entry when all ranks enter together and every
+broadcast and barrier hop finds its engines free, else after the live
+broadcast and entry barrier — and delivers the results in one batch.  Otherwise (other jobs, framework
+records, tight backplanes, the naive ablation schedule) the live driver
+below runs: messages ride the point-to-point fast path
+(:mod:`repro.mpi.fastp2p`), a step being the cached per-rank plan walk
+plus pure clock arithmetic.  Both paths give identical clocks and
+counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Generator, Optional
 
 from repro.blacs.grid import ProcessGrid
 from repro.darray import Descriptor, DistributedMatrix, copy_rect
 from repro.mpi import ANY_SOURCE, Phantom
 from repro.mpi.comm import Comm
+from repro.mpi.datatypes import payload_nbytes
 from repro.mpi.errors import MPIError
+from repro.redist import walk
 from repro.redist.schedule import Message2D, Schedule2D
 from repro.redist.tables import (
     build_rank_plans,
@@ -122,17 +134,6 @@ def redistribute(comm: Comm, source: DistributedMatrix,
     me = comm.rank
     in_new = me < Q
 
-    # The simulator is one OS process, so the destination matrix is a
-    # single shared object: rank 0 allocates it and shares the reference
-    # (a tiny broadcast); senders then copy each message's blocks into
-    # the destination rank's local array.
-    target: Optional[DistributedMatrix] = None
-    if me == 0:
-        target = DistributedMatrix(new_desc,
-                                   materialized=source.materialized,
-                                   dtype=source.dtype)
-    target = yield from comm.bcast(target, root=0)
-
     if schedule is None:
         plan = cached_rank_plans(
             old_desc.row_blocks, old_desc.col_blocks,
@@ -152,9 +153,35 @@ def redistribute(comm: Comm, source: DistributedMatrix,
         total_wire, _total_local = _schedule_traffic(
             schedule, old_desc, old_grid, new_grid)
 
+    def walked(target):
+        return lambda views, start: _walk(
+            views, start, source, new_desc, target, plan, total_wire,
+            memory_bandwidth)
+
+    if plan.is_permutation:
+        done = yield from walk.attempt(comm, walked(None), entry=True)
+        if done is not None:
+            return done
+
+    # The simulator is one OS process, so the destination matrix is a
+    # single shared object: rank 0 allocates it and shares the reference
+    # (a tiny broadcast); senders then copy each message's blocks into
+    # the destination rank's local array.
+    target: Optional[DistributedMatrix] = None
+    if me == 0:
+        target = DistributedMatrix(new_desc,
+                                   materialized=source.materialized,
+                                   dtype=source.dtype)
+    target = yield from comm.bcast(target, root=0)
+
     # Synchronize entry so the measured time is the redistribution alone.
     yield from comm.barrier()
     t0 = comm.env.now
+
+    if plan.is_permutation:
+        done = yield from walk.attempt(comm, walked(target))
+        if done is not None:
+            return done
 
     result = RedistributionResult(matrix=target, elapsed=0.0,
                                   total_bytes_moved=total_wire,
@@ -202,3 +229,62 @@ def redistribute(comm: Comm, source: DistributedMatrix,
     if not in_new:
         result.matrix = None
     return result
+
+
+@lru_cache(maxsize=256)
+def _walk_programs(plan, size: int, memory_bandwidth: float) -> tuple:
+    """Per rank of :func:`redistribute` after its entry barrier: the walk
+    ops and ``(messages, bytes_moved, local_copies)``."""
+    barrier = walk.barrier_ops(size)
+    out = []
+    for rank in range(size):
+        ops: list = []
+        counts = [0, 0, 0]
+        for step_idx, rank_step in enumerate(plan.rank_steps(rank)):
+            sent = False
+            for _msg, dst_rank, nbytes in rank_step.sends:
+                ops.append((walk.SLEEP, nbytes / memory_bandwidth))
+                if dst_rank == rank:
+                    counts[2] += 1
+                    continue
+                ops.append((walk.SEND, dst_rank, nbytes, step_idx, 0))
+                counts[0] += 1
+                counts[1] += nbytes
+                sent = True
+            if rank_step.recv_count:
+                ops.append((walk.RECV, step_idx, memory_bandwidth))
+            if sent:
+                ops.append((walk.WAIT,))
+        out.append((tuple(ops) + barrier[rank], tuple(counts)))
+    return tuple(out)
+
+
+def _walk(views: list, t0: float, source: DistributedMatrix,
+          new_desc: Descriptor, target: Optional[DistributedMatrix], plan,
+          total_wire: int, memory_bandwidth: float) -> Optional[list]:
+    """:func:`redistribute` for every rank at once, from its entry
+    (``target`` None) or from the entry barrier's exit
+    (:mod:`repro.redist.walk`); None declines."""
+    entry = None
+    if target is None:
+        target = DistributedMatrix(new_desc, materialized=source.materialized,
+                                   dtype=source.dtype)
+        entry = payload_nbytes(target)
+    programs = _walk_programs(plan, views[0].size, memory_bandwidth)
+    results = [RedistributionResult(
+        matrix=target if rank < new_desc.grid.size else None, elapsed=0.0,
+        total_bytes_moved=total_wire,
+        payload_nbytes=source.desc.global_nbytes, steps=plan.num_steps,
+        messages=messages, bytes_moved=moved, local_copies=local)
+        for rank, (_ops, (messages, moved, local)) in enumerate(programs)]
+
+    def then(_run):
+        # Each message's one copy (see "Data path"), before delivery.
+        for rank in range(len(programs) if source.materialized else 0):
+            for rank_step in plan.rank_steps(rank):
+                for msg, dst_rank, _nbytes in rank_step.sends:
+                    copy_rect(source, rank, target, dst_rank,
+                              msg.row_blocks, msg.col_blocks)
+
+    return walk.complete(views, t0, [ops for ops, _ in programs], results,
+                         entry, then)

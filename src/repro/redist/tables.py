@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -189,9 +189,10 @@ class RankStep:
 _EMPTY_RANK_STEP = RankStep(sends=(), recv_count=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RedistPlan:
-    """Per-rank, per-step routing of one redistribution schedule."""
+    """Per-rank, per-step routing of one redistribution schedule
+    (hashed by identity: cached plans key further caches)."""
 
     num_steps: int
     by_rank: dict  # rank -> tuple[RankStep, ...]
@@ -201,6 +202,13 @@ class RedistPlan:
         if steps is None:
             return (_EMPTY_RANK_STEP,) * self.num_steps
         return steps
+
+    @cached_property
+    def is_permutation(self) -> bool:
+        """Whether every step is a partial permutation: each rank sends
+        at most one message and receives at most one (§3.2)."""
+        return all(len(step.sends) <= 1 and step.recv_count <= 1
+                   for steps in self.by_rank.values() for step in steps)
 
 
 def build_rank_plans(schedule, src_grid, dst_grid, m: int, n: int,

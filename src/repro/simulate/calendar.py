@@ -82,6 +82,9 @@ class HeapEventQueue:
         heap = self._heap
         return heap[0][0] if heap else _INF
 
+    def entries(self) -> list[Entry]:
+        return list(self._heap)
+
 
 class CalendarEventQueue:
     """Slotted calendar queue with heap fallback for small populations.
@@ -222,6 +225,11 @@ class CalendarEventQueue:
             bucket.reverse()
             self._cur = slot
         return bucket[-1][0]
+
+    def entries(self) -> list[Entry]:
+        if not self._calendar:
+            return list(self._heap)
+        return [entry for bucket in self._slots.values() for entry in bucket]
 
     # -- mode transitions --------------------------------------------------
     def _spill(self) -> None:

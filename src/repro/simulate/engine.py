@@ -200,6 +200,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        env._live_processes += 1
         #: Guard for packed sleeps: an interrupt bumps the token so the
         #: orphaned wakeup record is ignored when it eventually pops.
         self._sleep_token = 0
@@ -254,12 +255,14 @@ class Process(Event):
                         next_ev = self._generator.throw(
                             SimulationError(repr(value)))
             except StopIteration as stop:
+                env._live_processes -= 1
                 self._target = None
                 self._value = stop.value
                 self._ok = True
                 env.schedule(self)
                 break
             except BaseException as err:
+                env._live_processes -= 1
                 self._target = None
                 self._value = err
                 self._ok = False
@@ -432,6 +435,9 @@ class Environment:
         self.kernel = kernel
         self._seq = 0
         self._active_proc: Optional[Process] = None
+        #: Processes started and not yet finished (read by closed-form
+        #: walks to prove they are alone in the simulation).
+        self._live_processes = 0
         #: The handler table: position 0 is the Event-object dispatcher
         #: (inlined in the run loop, never called through the table);
         #: builtin handlers follow at fixed positions, then whatever the
@@ -651,6 +657,10 @@ class Environment:
         assert callbacks is not None
         for cb in callbacks:
             cb(arg)
+
+    def pending(self) -> list:
+        """The packed records still queued, in no particular order."""
+        return self._queue.entries()
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""

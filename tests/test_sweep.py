@@ -258,25 +258,6 @@ def test_serial_runner_used_for_single_worker_and_single_spec():
     assert sweep.workers == 1 and sweep.ok
 
 
-# ---------------------------------------------------------------------
-# Deprecation shims
-# ---------------------------------------------------------------------
-def test_framework_spec_keyword_shim_warns():
-    ms = MachineSpec(num_nodes=8)
-    with pytest.warns(DeprecationWarning, match="machine_spec"):
-        fw = ReshapeFramework(spec=ms, num_processors=4)
-    assert fw.machine.spec == ms
-
-
-def test_run_static_spec_keyword_shim_warns():
-    from repro.api.standalone import run_static
-    from repro.workloads import make_application
-    app = make_application("mm", 1200, iterations=1)
-    with pytest.warns(DeprecationWarning, match="machine_spec"):
-        res = run_static(app, (1, 2), spec=MachineSpec(num_nodes=4))
-    assert res.total_time > 0
-
-
 def test_new_keywords_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
