@@ -9,8 +9,8 @@ x machine — and this package makes grids cheap:
   spec -> :class:`ScenarioResult`; every construction surface (CLI,
   benchmarks, ``repro.run``) goes through it.
 * :class:`SweepRunner` (:mod:`repro.sweep.runner`): fans a grid of
-  specs across worker processes with bounded submission, crash/timeout
-  containment, and a deterministic spec-ordered merge.
+  specs across worker processes in contiguous chunks, with crash/timeout
+  containment and a deterministic spec-ordered merge.
 * :mod:`repro.sweep.experiments`: the first real consumers — the
   paper's checkpoint/restart-vs-redistribution comparison (§4.1.2,
   4.5-14.5x) and a policy x workload ablation grid.

@@ -1,32 +1,35 @@
 """SweepRunner: fan a grid of scenarios across worker processes.
 
-The shape follows the nengo-mpi master/worker split: a master process
-partitions the work (here: whole scenarios — experiments are
-embarrassingly parallel), workers resolve specs with the pure
-:func:`~repro.sweep.resolver.run_scenario`, and the master merges the
-per-scenario results into one tabular set.
+The shape follows nengo-mpi's chunk-then-gather: the master splits the
+spec list into contiguous chunks, a worker resolves a whole chunk with
+the pure :func:`~repro.sweep.resolver.run_scenario` and sends back one
+reply, and the master merges the replies into one tabular set.
 
 Guarantees:
 
 * **Deterministic merge order.**  Results come back in *spec order*, no
   matter which worker finished first — a sweep is a pure function of
   its spec list.
+* **Chunked, bounded dispatch.**  A first-attempt grid is cut into
+  contiguous chunks, about four per worker for tail balance and at
+  most 256 specs each.  At most ``max_workers`` chunks are in flight,
+  so a chunk starts when it is submitted, and million-cell grids never
+  materialize a million pickled futures.
+* **Clean exceptions** become ``phase="error"`` results inside the
+  worker, with the worker's traceback, and are not retried (they are
+  deterministic — retrying would reproduce the failure).
 * **Crash containment.**  A worker that dies (segfault, ``os._exit``,
-  OOM-kill) kills its whole pool, so every in-flight scenario is a
-  suspect; each is retried once, isolated on a fresh single-worker
-  pool, where innocents complete normally and the actual culprit is
-  recorded as a structured :class:`ScenarioError` with
-  ``phase="crash"`` — and the sweep completes.  Clean Python
-  exceptions become ``phase="error"`` results immediately (they are
-  deterministic — retrying them would reproduce the failure).
-* **Timeout containment.**  With ``timeout=T``, a scenario still
-  running T seconds after submission is abandoned as
-  ``phase="timeout"`` (its worker finishes in the background; the slot
-  is not reclaimed early — document long tails in the spec, or shard
-  them).
-* **Bounded submission.**  At most ``max_workers * chunk_factor``
-  scenarios are in flight, so million-cell grids do not materialize a
-  million pickled futures at once.
+  OOM-kill) kills its whole pool, so every spec of every in-flight
+  chunk is a suspect.  Each is retried once, alone on a fresh
+  single-worker pool: innocents complete there, and the culprit is
+  recorded as ``phase="crash"`` with ``attempts=2`` — and the sweep
+  completes.
+* **Timeout containment.**  ``timeout=T`` is T seconds per scenario,
+  enforced per chunk as ``T * len(chunk)`` from submission.  A chunk
+  past its deadline is abandoned (its worker finishes in the
+  background and the pool takes no new chunk), and its specs take the
+  same isolated retry, where each gets T; only the culprit is recorded
+  as ``phase="timeout"``.
 """
 
 from __future__ import annotations
@@ -49,8 +52,26 @@ from repro.sweep.spec import (
 )
 
 
-class _PoolBroken(Exception):
-    """Internal: the process pool died; rebuild and continue."""
+#: Chunks per worker in a first-attempt grid, for tail balance.
+_CHUNKS_PER_WORKER = 4
+#: Upper bound on the specs of one chunk.
+_MAX_CHUNK = 256
+
+
+def _run_chunk(task: Callable[[ScenarioSpec], ScenarioResult],
+               specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
+    """Run ``specs`` in order: a worker's unit of work, and the whole of
+    a serial sweep.  A clean exception becomes that spec's
+    ``phase="error"`` result, with the traceback where it was raised."""
+    results: list[ScenarioOutcome] = []
+    for spec in specs:
+        try:
+            results.append(task(spec))
+        except Exception as exc:
+            results.append(ScenarioError(
+                spec=spec, error=f"{type(exc).__name__}: {exc}",
+                phase="error", traceback=traceback.format_exc()))
+    return results
 
 
 @dataclass
@@ -122,7 +143,6 @@ class SweepRunner:
 
     def __init__(self, max_workers: Optional[int] = None, *,
                  timeout: Optional[float] = None,
-                 chunk_factor: int = 2,
                  mp_context: Optional[str] = None,
                  task: Callable[[ScenarioSpec], ScenarioResult]
                  = run_scenario):
@@ -131,9 +151,6 @@ class SweepRunner:
         if self.max_workers < 1:
             raise ValueError("max_workers must be positive")
         self.timeout = timeout
-        if chunk_factor < 1:
-            raise ValueError("chunk_factor must be positive")
-        self.chunk_factor = chunk_factor
         #: "fork" keeps task functions picklable by reference (and is
         #: available on the platforms CI runs); fall back to the
         #: platform default elsewhere.
@@ -150,7 +167,7 @@ class SweepRunner:
                  else ScenarioSpec.from_dict(s) for s in specs]
         t0 = time.perf_counter()
         if self.max_workers == 1 or len(specs) <= 1:
-            results = self._run_serial(specs)
+            results = _run_chunk(self.task, specs)
             workers = 1
         else:
             results = self._run_parallel(specs)
@@ -165,136 +182,102 @@ class SweepRunner:
         specs = [s if isinstance(s, ScenarioSpec)
                  else ScenarioSpec.from_dict(s) for s in specs]
         t0 = time.perf_counter()
-        return SweepResult(results=self._run_serial(specs),
+        return SweepResult(results=_run_chunk(self.task, specs),
                            wall_time=time.perf_counter() - t0, workers=1)
 
     # ------------------------------------------------------------------
-    def _run_serial(self, specs: list[ScenarioSpec]
-                    ) -> list[ScenarioOutcome]:
-        results: list[ScenarioOutcome] = []
-        for spec in specs:
-            try:
-                results.append(self.task(spec))
-            except Exception as exc:
-                results.append(ScenarioError(
-                    spec=spec, error=f"{type(exc).__name__}: {exc}",
-                    phase="error", traceback=traceback.format_exc()))
-        return results
-
     def _run_parallel(self, specs: list[ScenarioSpec]
                       ) -> list[ScenarioOutcome]:
         results: dict[int, ScenarioOutcome] = {}
-        #: (index, spec, attempt) still to run; attempt counts pool
-        #: crashes only — a scenario gets one retry after a crash.
-        queue: deque[tuple[int, ScenarioSpec, int]] = deque(
-            (i, spec, 0) for i, spec in enumerate(specs))
-        while queue:
-            # A dying worker kills the whole pool, taking innocent
-            # in-flight scenarios with it, so a crash cannot be
-            # attributed while batched.  Retries therefore run one at a
-            # time on their own pool: an innocent casualty completes
-            # there; a scenario whose solo pool also dies is the
-            # culprit and is recorded as phase="crash".
-            if queue[0][2] > 0:
-                batch = deque([queue.popleft()])
-            else:
-                batch = deque()
-                while queue and queue[0][2] == 0:
-                    batch.append(queue.popleft())
-            workers = min(self.max_workers, len(batch))
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=self._ctx)
-            try:
-                self._drain(pool, batch, results)
-            except _PoolBroken:
-                pass  # rebuild the pool; batch already holds retries
-            finally:
-                # Never wait on abandoned (timed-out) workers; completed
-                # futures already delivered their results.
-                pool.shutdown(wait=False, cancel_futures=True)
-            # Unfinished work (and _crashed() requeues) goes back to
-            # the front, retries first, for the next pool.
-            while batch:
-                queue.appendleft(batch.pop())
-            queue = deque(sorted(queue, key=lambda item: -item[2]))
+        size = min(_MAX_CHUNK, -(-len(specs) // (_CHUNKS_PER_WORKER
+                                                 * self.max_workers)))
+        #: (index of the first spec, the chunk's specs), in spec order.
+        chunks = deque((start, specs[start:start + size])
+                       for start in range(0, len(specs), size))
+        suspects: list[int] = []
+        while chunks:
+            self._drain(chunks, self.max_workers, results, suspects)
+        # A chunk that died with its pool or missed its deadline cannot
+        # name its culprit, so each of its specs runs again alone on a
+        # fresh single-worker pool: an innocent completes there, and
+        # the culprit's second failure is recorded.
+        for idx in sorted(suspects):
+            self._drain(deque([(idx, [specs[idx]])]), 1, results, None)
         return [results[i] for i in range(len(specs))]
 
-    def _drain(self, pool: ProcessPoolExecutor,
-               queue: deque, results: dict) -> None:
-        window = self.max_workers * self.chunk_factor
-        inflight: dict = {}  # future -> (idx, spec, attempt, t_submit)
+    def _drain(self, chunks: deque, workers: int, results: dict,
+               suspects: Optional[list]) -> None:
+        """Run ``chunks`` on one fresh pool until they are done, the pool
+        breaks, or a chunk misses its deadline (its worker is abandoned,
+        so the pool takes no new chunk).  Chunks never submitted stay in
+        ``chunks`` for the next pool.  A failed chunk's specs join
+        ``suspects``, or, on an isolated retry (``suspects=None``), the
+        one spec's failure is recorded."""
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+                                   mp_context=self._ctx)
+        inflight: dict = {}  # future -> (start, specs, deadline)
+        accepting = True
         try:
-            while queue or inflight:
-                while queue and len(inflight) < window:
-                    idx, spec, attempt = queue.popleft()
-                    fut = pool.submit(self.task, spec)
-                    inflight[fut] = (idx, spec, attempt, time.monotonic())
-                done, _ = wait(list(inflight),
-                               return_when=FIRST_COMPLETED,
-                               timeout=0.05 if self.timeout else None)
-                broken = False
-                for fut in done:
-                    idx, spec, attempt, _t = inflight.pop(fut)
+            while True:
+                while accepting and chunks and len(inflight) < workers:
+                    start, chunk = chunks.popleft()
                     try:
-                        results[idx] = fut.result()
+                        fut = pool.submit(_run_chunk, self.task, chunk)
                     except BrokenProcessPool:
-                        broken = True
-                        self._crashed(queue, results, idx, spec, attempt)
-                    except Exception as exc:
-                        # A clean exception in the worker is
-                        # deterministic: record it, don't retry.
-                        results[idx] = ScenarioError(
-                            spec=spec,
+                        chunks.appendleft((start, chunk))
+                        accepting = False
+                        break
+                    inflight[fut] = (start, chunk, time.monotonic()
+                                     + self.timeout * len(chunk)
+                                     if self.timeout else None)
+                if not inflight:
+                    return
+                wait_s = (max(0.0, min(d for _, _, d in inflight.values())
+                              - time.monotonic())
+                          if self.timeout else None)
+                done, _ = wait(inflight, timeout=wait_s,
+                               return_when=FIRST_COMPLETED)
+                for fut in done:
+                    start, chunk, _ = inflight.pop(fut)
+                    try:
+                        for offset, res in enumerate(fut.result()):
+                            results[start + offset] = res
+                    except BrokenProcessPool:
+                        # Every other in-flight future fails with it.
+                        accepting = False
+                        self._failed(
+                            start, chunk, results, suspects, phase="crash",
+                            error="worker process died (crash or kill) "
+                                  "twice; giving up on this scenario")
+                    except Exception as exc:  # e.g. an unpicklable result
+                        self._failed(
+                            start, chunk, results, suspects, phase="error",
                             error=f"{type(exc).__name__}: {exc}",
-                            phase="error",
                             traceback=traceback.format_exc())
-                if broken:
-                    raise _PoolBroken
-                if self.timeout:
-                    now = time.monotonic()
-                    for fut in list(inflight):
-                        idx, spec, attempt, t_submit = inflight[fut]
-                        if now - t_submit > self.timeout:
-                            fut.cancel()
-                            inflight.pop(fut)
-                            results[idx] = ScenarioError(
-                                spec=spec, phase="timeout",
-                                error=(f"scenario exceeded the "
-                                       f"{self.timeout:g}s timeout"),
-                                attempts=attempt + 1)
-        except (_PoolBroken, BrokenProcessPool):
-            # The pool died (detected via a result, or at submit time).
-            # Salvage any in-flight future that still completed; retry
-            # or record the rest.
-            for fut, (idx, spec, attempt, _t) in inflight.items():
-                exc = None
-                try:
-                    if fut.done():
-                        exc = fut.exception()
-                        if exc is None:
-                            results[idx] = fut.result()
-                            continue
-                except Exception:
-                    exc = None  # cancelled: treat as died with the pool
-                if exc is not None and not isinstance(exc,
-                                                     BrokenProcessPool):
-                    results[idx] = ScenarioError(
-                        spec=spec, error=f"{type(exc).__name__}: {exc}",
-                        phase="error")
-                else:
-                    self._crashed(queue, results, idx, spec, attempt)
-            raise _PoolBroken from None
+                now = time.monotonic()
+                for fut, (start, chunk, deadline) in list(inflight.items()):
+                    if deadline is not None and now >= deadline:
+                        del inflight[fut]
+                        accepting = False
+                        self._failed(
+                            start, chunk, results, suspects, phase="timeout",
+                            error=f"scenario exceeded the "
+                                  f"{self.timeout:g}s timeout")
+        finally:
+            # Never wait on abandoned (timed-out) workers; completed
+            # futures already delivered their results.
+            pool.shutdown(wait=False, cancel_futures=True)
 
-    def _crashed(self, queue: deque, results: dict,
-                 idx: int, spec: ScenarioSpec, attempt: int) -> None:
-        """A worker died mid-scenario: retry once, then record."""
-        if attempt == 0:
-            queue.append((idx, spec, 1))
+    @staticmethod
+    def _failed(start: int, chunk: list, results: dict,
+                suspects: Optional[list], **error) -> None:
+        """A chunk failed whole: on a first attempt its specs become
+        suspects; on an isolated retry its one spec's error is final."""
+        if suspects is not None:
+            suspects.extend(range(start, start + len(chunk)))
         else:
-            results[idx] = ScenarioError(
-                spec=spec, phase="crash", attempts=attempt + 1,
-                error="worker process died (crash or kill) twice; "
-                      "giving up on this scenario")
+            results[start] = ScenarioError(spec=chunk[0], attempts=2,
+                                           **error)
 
 
 def sweep_scenarios(specs: Sequence[Union[ScenarioSpec, dict]], *,

@@ -2,6 +2,7 @@
 identity, crash/timeout/error containment, and the paper's checkpoint
 ratio band."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -87,6 +88,36 @@ def boom_task(spec):
     if spec.label == "boom":
         raise ValueError("synthetic failure")
     return run_scenario(spec)
+
+
+def nap_task(spec):
+    with open(os.environ["SWEEP_RUN_LOG"], "a") as log:
+        log.write(f"{spec.seed}\n")
+    if spec.label == "nap":
+        time.sleep(0.25)
+    return run_scenario(spec)
+
+
+def pid_task(spec):
+    res = run_scenario(spec)
+    return dataclasses.replace(
+        res, metrics=res.metrics + (("pid", float(os.getpid())),))
+
+
+def unpicklable_task(spec):
+    res = run_scenario(spec)
+    if spec.label == "unpicklable":
+        # A lambda cannot cross the pool: the chunk's reply fails.
+        return dataclasses.replace(res, metrics=(("fn", lambda: 0),))
+    return res
+
+
+def chunked_grid(n=24, **labels):
+    """``n`` tiny specs; on two workers they go out in chunks of
+    ``n // 8`` (four chunks per worker), so index 4 sits mid-chunk."""
+    return [tiny_redist(seed=i, size=2000 + 40 * i,
+                        label=labels.get(f"at{i}", ""))
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------
@@ -251,6 +282,78 @@ def test_timeout_becomes_structured_error():
     err = sweep.results[1]
     assert not err.ok and err.phase == "timeout"
     assert sweep.results[0].ok and sweep.results[2].ok
+
+
+def test_chunked_grid_bit_identical_to_serial():
+    specs = chunked_grid(40)
+    runner = SweepRunner(max_workers=2)
+    serial = runner.run_serial(specs)
+    parallel = runner.run(specs)
+    assert serial.ok and parallel.ok and parallel.workers == 2
+    assert serial.results == parallel.results
+    assert [r.spec for r in parallel.results] == specs
+
+
+def test_chunks_are_contiguous_runs_on_one_worker():
+    sweep = SweepRunner(max_workers=2, task=pid_task).run(chunked_grid(40))
+    pids = [r.metric("pid") for r in sweep.results]
+    # 40 specs on two workers: eight chunks of five.
+    assert all(pids[i] == pids[i - i % 5] for i in range(40))
+
+
+def test_crash_mid_chunk_is_attributed_to_its_spec():
+    specs = chunked_grid(at4="crash")
+    sweep = SweepRunner(max_workers=2, task=crash_task).run(specs)
+    assert [r.spec for r in sweep.results] == specs
+    assert len(sweep.errors) == 1
+    err = sweep.results[4]
+    assert err.phase == "crash" and err.attempts == 2
+    assert all(r.ok for i, r in enumerate(sweep.results) if i != 4)
+
+
+def test_clean_exception_mid_chunk_keeps_worker_traceback():
+    specs = chunked_grid(at4="boom")
+    sweep = SweepRunner(max_workers=2, task=boom_task).run(specs)
+    assert len(sweep.errors) == 1
+    err = sweep.results[4]
+    assert err.phase == "error" and err.attempts == 1
+    assert "synthetic failure" in err.error
+    assert "boom_task" in err.traceback
+    assert all(r.ok for i, r in enumerate(sweep.results) if i != 4)
+
+
+def test_unsendable_result_mid_chunk_is_attributed_to_its_spec():
+    specs = chunked_grid(at4="unpicklable")
+    sweep = SweepRunner(max_workers=2, task=unpicklable_task).run(specs)
+    assert len(sweep.errors) == 1
+    err = sweep.results[4]
+    assert err.phase == "error" and err.attempts == 2
+    assert "pickle" in err.error
+    assert all(r.ok for i, r in enumerate(sweep.results) if i != 4)
+
+
+def test_slow_spec_mid_chunk_is_the_only_timeout():
+    specs = chunked_grid(at4="slow")
+    sweep = SweepRunner(max_workers=2, timeout=0.5,
+                        task=slow_task).run(specs)
+    assert len(sweep.errors) == 1
+    assert sweep.results[4].phase == "timeout"
+    assert sweep.results[4].attempts == 2
+    assert all(r.ok for i, r in enumerate(sweep.results) if i != 4)
+
+
+def test_chunk_deadline_scales_with_chunk_length(tmp_path, monkeypatch):
+    # Each nap fits the 0.5 s timeout; the three of chunk [0, 3) take
+    # 0.75 s together, inside that chunk's 3 x 0.5 s deadline.
+    run_log = tmp_path / "runs.txt"
+    monkeypatch.setenv("SWEEP_RUN_LOG", str(run_log))
+    specs = chunked_grid(at0="nap", at1="nap", at2="nap")
+    sweep = SweepRunner(max_workers=2, timeout=0.5,
+                        task=nap_task).run(specs)
+    assert sweep.ok
+    # No chunk missed its deadline: nothing took the isolated retry.
+    runs = sorted(int(line) for line in run_log.read_text().split())
+    assert runs == list(range(len(specs)))
 
 
 def test_serial_runner_used_for_single_worker_and_single_spec():
