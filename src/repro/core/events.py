@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class ConfigChange:
+class ConfigChange(NamedTuple):
     """One job's processor count changing at an instant."""
 
     time: float
@@ -66,16 +65,42 @@ class JobTimeline:
 
 
 class TimelineRecorder:
-    """Collects :class:`ConfigChange` events for a whole experiment."""
+    """Collects :class:`ConfigChange` events for a whole experiment.
+
+    ``record`` also keeps each job's allocation integral running, so
+    :meth:`utilization` and :meth:`makespan` never rebuild the
+    timelines.  The integral adds the same terms in the same order as
+    :meth:`JobTimeline.cpu_seconds`, so both paths agree bit for bit.
+    """
 
     def __init__(self):
         self.changes: list[ConfigChange] = []
+        #: job_id -> [last time, nprocs at it, cpu-seconds before it].
+        self._running: dict[int, list] = {}
+        self._first = self._last = 0.0
 
     def record(self, time: float, job_id: int, job_name: str, nprocs: int,
                config: Optional[tuple[int, int]], reason: str) -> None:
-        self.changes.append(ConfigChange(time=time, job_id=job_id,
-                                         job_name=job_name, nprocs=nprocs,
-                                         config=config, reason=reason))
+        """Append one change; a job's times must not go backwards."""
+        run = self._running.get(job_id)
+        if run is None:
+            self._running[job_id] = [time, nprocs, 0.0]
+        elif time == run[0]:
+            run[1] = nprocs
+        elif time > run[0]:
+            run[2] += run[1] * (time - run[0])
+            run[0], run[1] = time, nprocs
+        else:
+            raise ValueError(f"job {job_id} recorded at {time} after "
+                             f"{run[0]}")
+        if not self.changes:
+            self._first = self._last = time
+        elif time < self._first:
+            self._first = time
+        elif time > self._last:
+            self._last = time
+        self.changes.append(ConfigChange(time, job_id, job_name, nprocs,
+                                         config, reason))
 
     def endings(self, reason: str) -> list[ConfigChange]:
         """Job-ending events of one kind: ``"finish"`` or ``"error"``."""
@@ -106,10 +131,7 @@ class TimelineRecorder:
         return series
 
     def makespan(self) -> float:
-        if not self.changes:
-            return 0.0
-        times = [c.time for c in self.changes]
-        return max(times) - min(times)
+        return self._last - self._first
 
     def utilization(self, total_processors: int,
                     horizon: Optional[float] = None) -> float:
@@ -119,5 +141,5 @@ class TimelineRecorder:
         span = horizon if horizon is not None else self.makespan()
         if span <= 0:
             return 0.0
-        busy = sum(tl.cpu_seconds() for tl in self.job_timelines().values())
+        busy = sum(run[2] for run in self._running.values())
         return busy / (total_processors * span)

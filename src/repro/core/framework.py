@@ -125,12 +125,12 @@ class ReshapeFramework:
     def _wake(self) -> None:
         """Book a scheduling pass — unless nothing can start.
 
-        The reservation ledger makes the filter exact: a wake is useful
-        only if some queued job fits the free processors (with simple
-        backfill, that is ``min queued size <= free``).  Anything else
-        would probe the queue and find nothing, so it is skipped; every
-        state change that could flip the answer (arrival, release,
-        shrink) comes back through here.
+        The filter is exact: a wake is useful only if some queued job
+        fits the free processors (with simple backfill, that is ``min
+        queued size <= free``).  Anything else would probe the queue and
+        find nothing, so it is skipped; every state change that could
+        flip the answer (arrival, release, shrink) comes back through
+        here.
         """
         if self._wake_pending:
             return
@@ -149,9 +149,6 @@ class ReshapeFramework:
             if job is None:
                 break
             self._start_job(job)
-        # Record the blocked head's claim on the idle processors (0
-        # when the queue is empty or drained).
-        self.ledger.refresh(self.queue, self.pool.free_count)
 
     def _start_job(self, job: Job) -> None:
         """Job Startup: allocate, build data, launch rank processes."""
@@ -232,7 +229,13 @@ class ReshapeFramework:
             self._wake()
 
     def job_complete(self, job: Job) -> None:
-        """Job-end signal from the application monitor."""
+        """Job-end signal from the application monitor.
+
+        Idempotent like :meth:`job_error`: a job that already ended
+        (finished or failed) keeps its first ending.
+        """
+        if job.job_id not in self.monitor.running:
+            return
         self.timeline.record(self.env.now, job.job_id, job.name, 0,
                              None, "finish")
         self.monitor.job_ended(job, self.env.now)

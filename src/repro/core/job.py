@@ -35,7 +35,7 @@ class JobState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A submitted application plus its scheduling state.
 

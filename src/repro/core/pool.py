@@ -1,5 +1,5 @@
 """The machine's processor pool as the scheduler sees it, and the
-reservation ledger the wake path keeps over it."""
+reservation ledger the remap scheduler keeps over it."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ class ProcessorPool:
             raise ValueError("pool must have at least one processor")
         self.total = total
         self._free: set[int] = set(range(total))
-        self._owner: dict[int, int] = {}  # processor -> job_id
+        self._held: dict[int, set[int]] = {}  # job_id -> its processors
 
     @property
     def free_count(self) -> int:
@@ -33,10 +33,11 @@ class ProcessorPool:
         return sorted(self._free)
 
     def owner_of(self, processor: int) -> Optional[int]:
-        return self._owner.get(processor)
+        return next((job_id for job_id, held in self._held.items()
+                     if processor in held), None)
 
     def processors_of(self, job_id: int) -> list[int]:
-        return sorted(p for p, j in self._owner.items() if j == job_id)
+        return sorted(self._held.get(job_id, ()))
 
     def allocate(self, count: int, job_id: int) -> list[int]:
         """Take ``count`` free processors for ``job_id``."""
@@ -46,19 +47,21 @@ class ProcessorPool:
             raise RuntimeError(f"allocation of {count} processors with "
                                f"only {len(self._free)} free")
         chosen = sorted(self._free)[:count]
-        for p in chosen:
-            self._free.discard(p)
-            self._owner[p] = job_id
+        self._free.difference_update(chosen)
+        self._held.setdefault(job_id, set()).update(chosen)
         return chosen
 
     def release(self, processors: list[int], job_id: int) -> None:
         """Return specific processors held by ``job_id`` to the pool."""
+        held = self._held.get(job_id, set())
         for p in processors:
-            if self._owner.get(p) != job_id:
+            if p not in held:
                 raise RuntimeError(f"processor {p} not held by job "
                                    f"{job_id}")
-            del self._owner[p]
+            held.remove(p)
             self._free.add(p)
+        if not held:
+            self._held.pop(job_id, None)
 
     def release_all(self, job_id: int) -> list[int]:
         """Return everything ``job_id`` holds; returns what was freed."""
@@ -68,26 +71,28 @@ class ProcessorPool:
 
 
 class ReservationLedger:
-    """Reservation-style bookkeeping for the scheduler's wake path.
+    """Reservation-style bookkeeping for the remap scheduler.
 
     When the queue head cannot start, the ledger records its claim on
     the idle processors: how many of the free processors the head will
     take (``reserved``) and how many more must come free before it can
-    start (``shortfall``).  Two consumers:
+    start (``shortfall``).  The remap scheduler refreshes it before
+    every read, and has two consumers:
 
-    * The framework's wake filter — a resource release or arrival that
-      cannot possibly start anything (fewer free processors than the
-      smallest queued request, and short of the head's claim) skips the
-      scheduler pass entirely instead of probing the queue.
+    * The shrink-for-queue rule — the shortfall *is*
+      ``queue.needed_for_head(free)``, the processors a running job
+      must give up for the head to start.
     * The expansion path — processors under the head's claim are not
       "idle" for expansion purposes (:meth:`available_for_expansion`).
       This never changes a decision — the paper only expands when the
       queue is empty, and an empty queue holds no reservation — but it
       keeps the invariant explicit instead of coincidental.
 
-    The ledger is bookkeeping only: every decision still comes from the
-    queue and pool state, so scan and indexed schedulers stay
-    bit-identical (``tests/test_scheduler_indexed.py``).
+    The framework's wake filter asks the queue (``can_start``), not the
+    ledger; the ledger only counts the wakes it takes and skips.  Every
+    decision still comes from the queue and pool state, so scan and
+    indexed schedulers stay bit-identical
+    (``tests/test_scheduler_indexed.py``).
     """
 
     def __init__(self, pool: ProcessorPool):

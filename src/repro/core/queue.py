@@ -7,12 +7,12 @@ Two implementations, one decision contract:
 
 :class:`JobQueue`
     Size-indexed: jobs bucket by requested processor count, each bucket
-    a priority heap on the FCFS key ``(-priority, arrival seq)``.  A
-    wake probe (``next_startable``) takes one pass over the *distinct
-    sizes present* — bounded by the machine's processor count, not the
-    queue population — so 10k+ queued jobs probe in microseconds where
-    the scan took milliseconds.  O(log n) per enqueue, O(1) amortized
-    lazy removal.
+    a priority heap on the FCFS key ``(-priority, arrival seq)`` whose
+    live minimum is cached per size.  A wake probe (``next_startable``)
+    is one ``min`` over the cached heads of the sizes that fit —
+    bounded by the machine's processor count, not the queue population.
+    O(log n) per enqueue; removal is lazy and re-derives a class head
+    only when it removes that head.
 
 :class:`ScanJobQueue`
     The seed implementation — an arrival-ordered deque with an O(n)
@@ -22,10 +22,9 @@ Two implementations, one decision contract:
     by ``tests/test_scheduler_indexed.py``.
 
 Backfill stays *simple* backfill (no starvation reservation for the
-head — the paper's prototype): the reservation bookkeeping that the
-scheduler wake path keeps lives in
-:class:`repro.core.pool.ReservationLedger` and never changes decisions,
-only makes them cheap to reach.
+head — the paper's prototype): the head's claim on idle processors
+lives in :class:`repro.core.pool.ReservationLedger`, which never
+changes a decision.
 """
 
 from __future__ import annotations
@@ -48,12 +47,12 @@ class JobQueue:
         #: requested size -> heap of (-priority, seq, job); entries whose
         #: key no longer matches ``_entries`` are stale (lazy deletion).
         self._classes: dict[int, list[tuple[int, int, Job]]] = {}
-        #: requested size -> live-entry count for that class.
-        self._live: dict[int, int] = {}
         #: Sorted distinct sizes with at least one live job.
         self._sizes: list[int] = []
         #: job_id -> (-priority, seq, job) for every queued job.
         self._entries: dict[int, tuple[int, int, Job]] = {}
+        #: requested size -> live minimum entry of that class.
+        self._heads: dict[int, tuple[int, int, Job]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -82,19 +81,16 @@ class JobQueue:
         size = job.requested_size
         self._entries[job.job_id] = entry
         heappush(self._classes.setdefault(size, []), entry)
-        live = self._live.get(size, 0)
-        self._live[size] = live + 1
-        if live == 0:
+        head = self._heads.get(size)
+        if head is None:
             insort(self._sizes, size)
+        # ``seq`` is unique, so key comparisons never reach the Job.
+        if head is None or entry < head:
+            self._heads[size] = entry
 
     def head(self) -> Optional[Job]:
         """The job FCFS would start next (min key over every class)."""
-        best = None
-        for size in self._sizes:
-            entry = self._class_head(size)
-            if best is None or entry < best:
-                best = entry
-        return best[2] if best is not None else None
+        return min(self._heads.values())[2] if self._heads else None
 
     def next_startable(self, free: int) -> Optional[Job]:
         """The next job that can start on ``free`` processors.
@@ -102,26 +98,17 @@ class JobQueue:
         FCFS: only the head may start.  With backfill, the earliest
         queued job small enough for the free processors may jump ahead
         (simple backfill — no reservation bookkeeping, as in the
-        paper's prototype).  One pass over the distinct sizes computes
-        both the head and the backfill winner.
+        paper's prototype).  That is the minimum over the heads of the
+        fitting classes: when the FCFS head fits, it is that minimum.
         """
-        if not self._entries:
-            return None
-        sizes = self._sizes
-        fitting = bisect_right(sizes, free)
-        best = None       # min key over every class: the FCFS head
-        startable = None  # min key over classes that fit in ``free``
-        for i, size in enumerate(sizes):
-            entry = self._class_head(size)
-            if best is None or entry < best:
-                best = entry
-            if i < fitting and (startable is None or entry < startable):
-                startable = entry
-        assert best is not None
-        if best[2].requested_size <= free:
-            return best[2]
-        if self.backfill and startable is not None:
-            return startable[2]
+        if self.backfill:
+            fitting = self._sizes[:bisect_right(self._sizes, free)]
+            if not fitting:
+                return None
+            return min(map(self._heads.__getitem__, fitting))[2]
+        head = self.head()
+        if head is not None and head.requested_size <= free:
+            return head
         return None
 
     def remove(self, job: Job) -> None:
@@ -129,13 +116,15 @@ class JobQueue:
         if entry is None:
             raise ValueError(f"job {job.name} is not queued")
         size = job.requested_size
-        remaining = self._live[size] - 1
-        if remaining:
-            self._live[size] = remaining
-            # The class heap keeps a stale entry; _class_head skips it.
+        if self._heads[size] is not entry:
+            return  # The class heap keeps a stale entry (lazy deletion).
+        # Only removing its head can empty a class.
+        head = self._class_head(size)
+        if head is not None:
+            self._heads[size] = head
         else:
-            del self._live[size]
             del self._classes[size]
+            del self._heads[size]
             self._sizes.remove(size)
 
     def needed_for_head(self, free: int) -> int:
@@ -160,15 +149,17 @@ class JobQueue:
         head = self.head()
         return head is not None and head.requested_size <= free
 
-    def _class_head(self, size: int) -> tuple[int, int, Job]:
-        """Live minimum of one class, discarding stale heap entries."""
+    def _class_head(self, size: int) -> Optional[tuple[int, int, Job]]:
+        """Live minimum of one class, discarding stale heap entries;
+        None once the class holds no live entry."""
         heap = self._classes[size]
         entries = self._entries
-        while True:
+        while heap:
             entry = heap[0]
             if entries.get(entry[2].job_id) is entry:
                 return entry
             heappop(heap)
+        return None
 
 
 class ScanJobQueue:

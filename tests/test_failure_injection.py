@@ -9,6 +9,7 @@ from repro.apps.base import AppContext, Application
 from repro.blacs import ProcessGrid
 from repro.cluster import MachineSpec
 from repro.core import JobState, ReshapeFramework
+from repro.workloads.paper import make_application
 
 
 class CrashingApplication(Application):
@@ -80,3 +81,44 @@ def test_crash_recorded_on_timeline_as_error():
     # is identical to a successful finish.
     assert ending.nprocs == 0
     assert 0.0 < fw.utilization() <= 1.0
+
+
+def started_synthetic_job():
+    """A closed-form job caught mid-run: its completion is still booked."""
+    fw = ReshapeFramework(num_processors=8, dynamic=False)
+    job = fw.submit(make_application("synthetic", 4000, iterations=1),
+                    config=(1, 2))
+    fw.run(until=1.0)
+    assert job.state == JobState.RUNNING
+    return fw, job
+
+
+def endings_of(fw, job):
+    return [c.reason for c in fw.timeline.changes
+            if c.job_id == job.job_id and c.nprocs == 0]
+
+
+def test_job_complete_after_error_keeps_the_error():
+    fw, job = started_synthetic_job()
+    fw.job_error(job, "synthetic failure")
+    fw.job_complete(job)
+    fw.run()  # the booked completion signals once more
+    assert endings_of(fw, job) == ["error"]
+    assert job.state == JobState.FAILED
+    assert job.end_time == 1.0
+    assert fw.monitor.failed == [job]
+    assert fw.monitor.finished == []
+    assert fw.pool.free_count == 8
+
+
+def test_job_complete_twice_records_one_finish():
+    fw, job = started_synthetic_job()
+    fw.job_complete(job)
+    fw.job_complete(job)
+    fw.run()
+    assert endings_of(fw, job) == ["finish"]
+    assert job.state == JobState.FINISHED
+    assert job.end_time == 1.0
+    assert fw.monitor.finished == [job]
+    assert fw.monitor.failed == []
+    assert fw.pool.free_count == 8

@@ -1,13 +1,18 @@
 """Tests for timeline recording and report rendering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.core.events import JobTimeline, TimelineRecorder
 from repro.metrics import (
     ascii_step_chart,
     format_table,
     render_allocation_history,
 )
+from repro.sweep.resolver import scenario_processors
+from repro.sweep.spec import ScenarioSpec
 
 
 def build_recorder():
@@ -100,3 +105,59 @@ class TestRendering:
         rec = build_recorder()
         out = render_allocation_history(rec, width=50, height=8)
         assert "alpha" in out and "beta" in out
+
+
+def timeline_derived(rec, total):
+    """Utilization and makespan rebuilt from ``job_timelines()``: the
+    reference the recorder's running integral must equal exactly."""
+    times = [c.time for c in rec.changes]
+    makespan = max(times) - min(times) if times else 0.0
+    busy = sum(tl.cpu_seconds() for tl in rec.job_timelines().values())
+    return (busy / (total * makespan) if makespan > 0 else 0.0), makespan
+
+
+@st.composite
+def record_streams(draw):
+    """Records with globally nondecreasing times, as every framework
+    records ``env.now``; shared instants exercise equal-time replacement
+    within a job and same-instant changes across jobs."""
+    times = sorted(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.5, 7.25]),
+                  st.floats(0.0, 100.0)),
+        min_size=0, max_size=60)))
+    return [(t, draw(st.integers(1, 4)), draw(st.integers(0, 16)))
+            for t in times]
+
+
+class TestRunningIntegral:
+    def test_w1_dynamic_scenario_exact(self):
+        spec = ScenarioSpec(kind="schedule", workload="w1", dynamic=True,
+                            iterations=4)
+        res = repro.run(spec)
+        rec = res.timeline_recorder()
+        total = scenario_processors(spec)
+        assert any(a.time == b.time
+                   for a, b in zip(rec.changes, rec.changes[1:]))
+        util, makespan = timeline_derived(rec, total)
+        assert rec.utilization(total) == util == res.utilization
+        assert rec.makespan() == makespan == res.makespan
+
+    @given(record_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_stream_exact(self, stream):
+        rec = TimelineRecorder()
+        for time, job_id, nprocs in stream:
+            rec.record(time, job_id, f"j{job_id}", nprocs, None, "start")
+        util, makespan = timeline_derived(rec, 16)
+        assert rec.utilization(16) == util
+        assert rec.makespan() == makespan
+        assert rec.utilization(16, horizon=200.0) == sum(
+            tl.cpu_seconds()
+            for tl in rec.job_timelines().values()) / (16 * 200.0)
+
+    def test_backwards_per_job_record_raises(self):
+        rec = build_recorder()
+        with pytest.raises(ValueError):
+            rec.record(20.0, 1, "alpha", 2, (1, 2), "shrink")
+        # Another job may still record at an earlier time.
+        rec.record(20.0, 3, "gamma", 2, (1, 2), "start")

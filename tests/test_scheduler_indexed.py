@@ -16,6 +16,7 @@ Three contracts:
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,53 @@ class TestScanEquivalence:
             assert not q.can_start(4)
             assert q.next_startable(8) is big
 
+
+
+class TestCachedHeads:
+    """Removing an arbitrary queued job — a class head, a job behind
+    it, or the last of its class — must keep every cached class head
+    exact, in backfill and in strict FCFS mode."""
+
+    def check(self, indexed, scan):
+        assert len(indexed) == len(scan)
+        assert indexed.head() is scan.head()
+        for free in (0, 1, 3, 5, 8, 12, 16):
+            assert indexed.next_startable(free) is \
+                scan.next_startable(free)
+            assert indexed.can_start(free) == scan.can_start(free)
+            assert indexed.needed_for_head(free) == \
+                scan.needed_for_head(free)
+
+    @pytest.mark.parametrize("backfill", [True, False])
+    @given(script=st.lists(
+        st.one_of(
+            st.tuples(st.just("enqueue"),
+                      st.tuples(st.integers(1, 16), st.integers(0, 2))),
+            st.tuples(st.just("remove"), st.integers(0, 200)),
+            st.tuples(st.just("remove_class_head"), st.integers(0, 200)),
+        ), min_size=1, max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_property_arbitrary_removal(self, backfill, script):
+        indexed = JobQueue(backfill=backfill)
+        scan = ScanJobQueue(backfill=backfill)
+        for op, value in script:
+            queued = list(scan)
+            if op == "enqueue":
+                job = make_job(*value)
+                indexed.enqueue(job)
+                scan.enqueue(job)
+            elif queued:
+                if op == "remove":
+                    victim = queued[value % len(queued)]
+                else:
+                    # The first queued job of some size is its class head.
+                    sizes = sorted({j.requested_size for j in queued})
+                    size = sizes[value % len(sizes)]
+                    victim = next(j for j in queued
+                                  if j.requested_size == size)
+                indexed.remove(victim)
+                scan.remove(victim)
+            self.check(indexed, scan)
 
 class TestReservationLedger:
     def test_refresh_mirrors_needed_for_head(self):
