@@ -6,7 +6,8 @@ allgathers, all-to-all transposes — so communication costs emerge from
 the algorithms rather than from closed-form formulas.  Local computation
 is charged to the simulated clock through a calibrated flop model; in
 materialized mode the arithmetic is also actually performed and verified
-against numpy/scipy references.
+against numpy references (LU's triangular solve imports scipy on first
+use, so phantom runs load numpy only).
 
 =============  =====================================================
 Application    Kernel

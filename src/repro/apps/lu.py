@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.apps.base import AppContext, Application
 from repro.blacs import ProcessGrid
@@ -441,6 +440,8 @@ def pdgetrf(ctx: AppContext, work: DistributedMatrix) -> Generator:
             if cols_right > 0:
                 yield from ctx.charge(float(w) * w * cols_right)
                 if mat:
+                    import scipy.linalg as sla  # materialized mode only
+
                     _own, lr0 = global_to_local(j0, nb, 0, pr)
                     block = local[lr0:lr0 + w, lc_right:ln]
                     local[lr0:lr0 + w, lc_right:ln] = sla.solve_triangular(

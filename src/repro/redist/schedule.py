@@ -16,7 +16,8 @@ Three constructions:
   ``max(L/P, L/Q)``.
 * :func:`edge_coloring_schedule` — a general fallback for arbitrary
   (src, dst) class sets, via bipartite edge coloring (König's theorem)
-  implemented with repeated maximum matchings (networkx).
+  implemented with repeated maximum matchings (networkx, imported on
+  first call: nothing else in the simulator needs it).
 * :func:`build_naive_1d_schedule` — everything in one step; the ablation
   baseline showing what contention costs.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.redist.tables import BlockClass, crt_block_classes
@@ -160,6 +160,8 @@ def edge_coloring_schedule(nblocks: int, P: int, Q: int) -> Schedule1D:
     property, so it also covers future layouts (e.g. different source
     and destination block sizes) the paper lists as extensions.
     """
+    import networkx as nx  # the only networkx user; imported on first call
+
     classes = [c for c in crt_block_classes(nblocks, P, Q) if c.count > 0]
     remaining: list[BlockClass] = list(classes)
     schedule = Schedule1D(P=P, Q=Q, nblocks=nblocks)
