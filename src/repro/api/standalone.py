@@ -88,7 +88,8 @@ def run_static(app: Application, config: tuple[int, int], *,
     if own_env:
         env.run()
     else:
-        env.run(until=env.all_of(group.processes))
+        for proc in group.processes:
+            env.run(until=proc)
     result.total_time = env.now - t_start
     if verify:
         result.verified = app.verify(data)

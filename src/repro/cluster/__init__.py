@@ -11,21 +11,15 @@ It provides:
 * :class:`Disk` — a shared disk for the file-based checkpointing baseline.
 * :class:`Machine` — nodes + network + disk; :func:`system_x` builds the
   paper-calibrated preset.
-* :mod:`repro.cluster.topology` — processor-grid arithmetic (nearly-square
-  factorizations, the paper's grow-smallest-dimension rule, legal-config
-  enumeration).
+* :mod:`repro.cluster.topology` — processor-grid arithmetic (parsing
+  ``PRxPC`` configurations, legal-config enumeration, the next larger
+  legal grid).
 """
 
 from repro.cluster.machine import Machine, MachineSpec, system_x
 from repro.cluster.network import Network, TransferRecord
 from repro.cluster.node import Disk, Nic, Node
-from repro.cluster.topology import (
-    divides_evenly,
-    factor_nearly_square,
-    grow_nearly_square,
-    legal_configs_for,
-    parse_config,
-)
+from repro.cluster.topology import legal_configs_for, parse_config
 
 __all__ = [
     "Disk",
@@ -35,9 +29,6 @@ __all__ = [
     "Nic",
     "Node",
     "TransferRecord",
-    "divides_evenly",
-    "factor_nearly_square",
-    "grow_nearly_square",
     "legal_configs_for",
     "parse_config",
     "system_x",

@@ -4,60 +4,19 @@ ReSHAPE applications declare a topology preference: ``grid`` applications
 (LU, MM) run on nearly-square ``pr x pc`` process grids; ``flat``
 applications (Jacobi, FFT, master-worker) run on 1-D sets.  The paper's
 expansion rule for grid applications is: *"additional processors are
-added to the smallest row or column of the existing topology"* — i.e.
-grow the smaller dimension first, keeping the grid as square as possible.
+added to the smallest row or column of the existing topology"* — the
+legal grids stay nearly square, and an expansion takes the next larger
+one that fits.
 
-This module also enforces the paper's evenness constraint: *"the number
-of processors (in each dimension in the case of rectangular topologies)
-evenly divides the problem size."*
+The enumeration also enforces the paper's evenness constraint: *"the
+number of processors (in each dimension in the case of rectangular
+topologies) evenly divides the problem size."*
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional, Sequence
-
-
-def factor_nearly_square(p: int) -> tuple[int, int]:
-    """Factor ``p`` into the most nearly square ``(pr, pc)`` with pr <= pc.
-
-    >>> factor_nearly_square(12)
-    (3, 4)
-    >>> factor_nearly_square(25)
-    (5, 5)
-    """
-    if p < 1:
-        raise ValueError("processor count must be positive")
-    pr = int(math.isqrt(p))
-    while p % pr != 0:
-        pr -= 1
-    return pr, p // pr
-
-
-def grow_nearly_square(pr: int, pc: int) -> tuple[int, int]:
-    """Next grid after growing the smallest dimension by one.
-
-    This is the paper's expansion rule for nearly-square topologies:
-    2x2 -> 2x3? No: the *smallest* dimension grows, so 2x2 -> 3x2,
-    normalized to (2, 3) ... the rule always increments min(pr, pc).
-
-    >>> grow_nearly_square(2, 2)
-    (2, 3)
-    >>> grow_nearly_square(2, 3)
-    (3, 3)
-    """
-    if pr < 1 or pc < 1:
-        raise ValueError("grid dimensions must be positive")
-    if pr <= pc:
-        pr += 1
-    else:
-        pc += 1
-    return (pr, pc) if pr <= pc else (pc, pr)
-
-
-def divides_evenly(n: int, config: tuple[int, ...]) -> bool:
-    """True if every grid dimension divides the problem size ``n``."""
-    return all(n % d == 0 for d in config if d > 0)
 
 
 def parse_config(text: str) -> tuple[int, int]:
@@ -126,15 +85,3 @@ def next_larger_config(configs: Sequence[tuple[int, int]],
         if size > cur and size - cur <= available:
             return cfg
     return None
-
-
-def next_smaller_config(configs: Sequence[tuple[int, int]],
-                        current: tuple[int, int]) -> Optional[tuple[int, int]]:
-    """Largest legal config strictly smaller than ``current``."""
-    cur = config_size(current)
-    best: Optional[tuple[int, int]] = None
-    for cfg in configs:
-        size = config_size(cfg)
-        if size < cur and (best is None or size > config_size(best)):
-            best = cfg
-    return best

@@ -55,7 +55,8 @@ class ReshapeFramework:
         self.env = env or Environment()
         self.machine = machine or Machine(self.env,
                                           machine_spec or MachineSpec())
-        total = num_processors or self.machine.total_processors
+        total = (self.machine.total_processors if num_processors is None
+                 else num_processors)
         if total > self.machine.total_processors:
             raise ValueError("num_processors exceeds the machine")
         self.pool = ProcessorPool(total)

@@ -4,7 +4,7 @@ This package plays the role MPICH2 played in the paper: it gives SPMD
 application code (written as generator coroutines) point-to-point and
 collective communication, communicator management, **dynamic process
 management** (``spawn`` + ``merge`` — the MPI-2 features ReSHAPE's
-resizing library is built on) and persistent requests.
+resizing library is built on).
 
 Everything is charged against the simulated network: a ``send`` occupies
 the sender's transmit engine and the receiver's receive engine for the
@@ -31,7 +31,7 @@ from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm, Intercomm, World
 from repro.mpi.datatypes import Phantom, payload_nbytes
 from repro.mpi.errors import MPIError
 from repro.mpi.ops import MAX, MIN, PROD, SUM, ReduceOp
-from repro.mpi.request import PersistentRequest, Request
+from repro.mpi.request import Request
 from repro.mpi.status import Status
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "MIN",
     "MPIError",
     "PROD",
-    "PersistentRequest",
     "Phantom",
     "ReduceOp",
     "Request",

@@ -49,7 +49,7 @@ from repro.mpi.fastcoll import (
 )
 from repro.mpi.fastp2p import NetReplay, net_replay
 from repro.mpi.ops import ReduceOp, SUM
-from repro.mpi.request import PersistentRequest, Request
+from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.simulate import Environment, Event, Process, Store
 
@@ -293,16 +293,6 @@ class Comm:
         received = yield from recv_req.wait()
         yield from send_req.wait()
         return received
-
-    # -- persistent requests ----------------------------------------------------
-    def send_init(self, dest: int, tag: int = 0) -> PersistentRequest:
-        self._check_rank(dest, "destination")
-        return PersistentRequest(self, "send", dest, tag)
-
-    def recv_init(self, source: int, tag: int = ANY_TAG) -> PersistentRequest:
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        return PersistentRequest(self, "recv", source, tag)
 
     # -- collective helpers -------------------------------------------------------
     def _next_coll_tag(self) -> int:
@@ -576,11 +566,6 @@ class Comm:
         if self.rank in ranks:
             return Comm(shared, ranks.index(self.rank))
         return None
-
-    def dup(self) -> Generator:
-        """Collective duplicate (fresh mailboxes, same process set)."""
-        new_comm = yield from self.create_sub(list(range(self.size)))
-        return new_comm
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Comm id={self._shared.id} rank={self.rank}/"

@@ -383,7 +383,7 @@ class NetReplay:
 
     def real_abandoned(self, token: int) -> None:
         """The announced transfer died before its wire start
-        (interrupt/failure injection) — unclamp the sweep."""
+        (failure injection) — unclamp the sweep."""
         if self._pending_real.pop(token, None) is not None:
             if self._unresolved and not self._sweeping:
                 self._sweep()

@@ -1,10 +1,9 @@
-"""Nonblocking and persistent request handles."""
+"""Nonblocking request handles."""
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.mpi.errors import MPIError
 from repro.simulate import Environment, Event, Process
 
 
@@ -56,41 +55,3 @@ def wait_all(requests: list[Request]) -> Generator:
         value = yield from req.wait()
         values.append(value)
     return values
-
-
-class PersistentRequest:
-    """A reusable send or receive, mirroring ``MPI_Send_init`` and friends.
-
-    The paper's redistribution library transfers data "using MPI's
-    persistent communication functions"; in a simulation the saved cost is
-    per-call setup, modeled here as zero, so persistence is about API
-    fidelity: build once, ``start`` each communication step, ``wait``.
-    """
-
-    def __init__(self, comm, kind: str, peer: int, tag: int):
-        if kind not in ("send", "recv"):
-            raise MPIError(f"unknown persistent request kind {kind!r}")
-        self.comm = comm
-        self.kind = kind
-        self.peer = peer
-        self.tag = tag
-        self._active: Optional[Request] = None
-        self._payload: Any = None
-
-    def start(self, payload: Any = None) -> "PersistentRequest":
-        """Begin one communication using this request's fixed envelope."""
-        if self._active is not None and not self._active.done:
-            raise MPIError("persistent request restarted while active")
-        if self.kind == "send":
-            self._active = self.comm.isend(payload, dest=self.peer,
-                                           tag=self.tag)
-        else:
-            self._active = self.comm.irecv(source=self.peer, tag=self.tag)
-        return self
-
-    def wait(self) -> Generator:
-        if self._active is None:
-            raise MPIError("wait() before start()")
-        value = yield from self._active.wait()
-        self._active = None
-        return value

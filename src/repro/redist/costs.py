@@ -1,26 +1,17 @@
-"""Recorded redistribution costs and cost prediction.
+"""Recorded redistribution costs.
 
 "...with ReSHAPE we save a record of actual redistribution costs between
 various processor configurations, which allows for more informed
 decisions."  (§4.1.2)
 
-:class:`RedistributionCostLog` is that record.  The paper also points at
-prediction of unseen costs (Wolski et al., ref [21]); the
-:meth:`~RedistributionCostLog.predict` extension estimates a resize the
-framework has not performed yet from a volume/bandwidth model fitted to
-the observations so far.
+:class:`RedistributionCostLog` is that record: the profiler appends one
+:class:`RedistributionRecord` per resize of a job.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
-from statistics import fmean
 from typing import Optional
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,89 +31,16 @@ class RedistributionRecord:
     bytes_moved: Optional[int] = None
 
 
-@lru_cache(maxsize=1024)
-def _moved_fraction(p: int, q: int) -> float:
-    """Fraction of block-cyclic data that changes processor from p to q.
-
-    Over one period ``L = lcm(p, q)`` a block stays put when its residues
-    agree on the shared physical processor — for nested expansions
-    (``p | q`` or ``q | p``) that is ``min(p, q) / max(p, q)`` of blocks
-    ... computed exactly by counting residue agreements.
-    """
-    L = math.lcm(p, q)
-    g = np.arange(L, dtype=np.int64)
-    stay = int(np.count_nonzero(g % p == g % q))
-    return 1.0 - stay / L
-
-
-def _wire_estimate(rec: RedistributionRecord) -> float:
-    """Wire bytes of a record: observed when known, modelled otherwise."""
-    if rec.bytes_moved is not None:
-        return float(rec.bytes_moved)
-    p = rec.from_config[0] * rec.from_config[1]
-    q = rec.to_config[0] * rec.to_config[1]
-    return rec.nbytes * _moved_fraction(p, q)
-
-
 @dataclass
 class RedistributionCostLog:
-    """History of redistribution costs keyed by (from, to) configuration."""
+    """History of redistribution costs, in the order they happened."""
 
     records: list[RedistributionRecord] = field(default_factory=list)
-    _by_pair: dict[tuple, list[RedistributionRecord]] = \
-        field(default_factory=lambda: defaultdict(list))
 
     def record(self, from_config: tuple[int, int], to_config: tuple[int, int],
                nbytes: int, elapsed: float, when: float,
                bytes_moved: Optional[int] = None) -> None:
-        rec = RedistributionRecord(from_config=tuple(from_config),
-                                   to_config=tuple(to_config),
-                                   nbytes=nbytes, elapsed=elapsed, when=when,
-                                   bytes_moved=bytes_moved)
-        self.records.append(rec)
-        self._by_pair[(rec.from_config, rec.to_config)].append(rec)
-
-    def observed(self, from_config: tuple[int, int],
-                 to_config: tuple[int, int]) -> Optional[float]:
-        """Mean observed cost for this exact resize, or None."""
-        recs = self._by_pair.get((tuple(from_config), tuple(to_config)))
-        if not recs:
-            return None
-        return fmean(r.elapsed for r in recs)
-
-    def effective_bandwidth(self) -> Optional[float]:
-        """Fitted bytes-actually-moved per second across all records."""
-        num = 0.0
-        den = 0.0
-        for rec in self.records:
-            p = rec.from_config[0] * rec.from_config[1]
-            q = rec.to_config[0] * rec.to_config[1]
-            moved = _wire_estimate(rec)
-            # The schedule moves data through min(p, q) busiest NICs in
-            # parallel; normalize to per-wire throughput.
-            wires = max(1, min(p, q))
-            num += moved / wires
-            den += rec.elapsed
-        if den <= 0 or num <= 0:
-            return None
-        return num / den
-
-    def predict(self, from_config: tuple[int, int],
-                to_config: tuple[int, int], nbytes: int) -> Optional[float]:
-        """Estimate the cost of an unseen resize.
-
-        Uses the exact-pair mean when available, otherwise scales by data
-        moved / parallel wires at the fitted effective bandwidth.
-        Returns None with no history at all.
-        """
-        exact = self.observed(from_config, to_config)
-        if exact is not None:
-            return exact
-        bw = self.effective_bandwidth()
-        if bw is None:
-            return None
-        p = from_config[0] * from_config[1]
-        q = to_config[0] * to_config[1]
-        moved = nbytes * _moved_fraction(p, q)
-        wires = max(1, min(p, q))
-        return (moved / wires) / bw
+        self.records.append(RedistributionRecord(
+            from_config=tuple(from_config), to_config=tuple(to_config),
+            nbytes=nbytes, elapsed=elapsed, when=when,
+            bytes_moved=bytes_moved))

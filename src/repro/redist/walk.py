@@ -224,11 +224,11 @@ def _admit(comm) -> bool:
 
 def _resumed(record, env, replay) -> Optional[bool]:
     """What a queued record does: None if inert (a pump with nothing to
-    do, an orphaned sleep), True if it only resumes processes, False if
-    anything else (a framework arrival, a wake pass, a callback)."""
+    do), True if it only resumes processes, False if anything else (a
+    framework arrival, a wake pass, a callback)."""
     _when, _prio, _seq, hid, arg = record
     if hid == HANDLER_RESUME:
-        return True if arg[0]._sleep_token == arg[2] else None
+        return True
     if hid == replay._h_pump or (
             hid == env._handler_ids.get(LiveCall._on_pump)
             and not arg.sim.heap):

@@ -7,7 +7,7 @@ Python generator.  Processes interact by yielding *events*:
 
 * :class:`Timeout` — resume after simulated seconds elapse.
 * :class:`Event` — a bare one-shot event another process can ``succeed``.
-* :class:`AllOf` / :class:`AnyOf` — composite conditions.
+* :class:`Process` — a running process; yield it to wait for its end.
 * ``Store.get()`` / ``Store.put()`` — FIFO channels.
 * ``Resource.request()`` — mutual exclusion (e.g. a NIC).
 
@@ -25,12 +25,9 @@ from repro.simulate.engine import (
     HANDLER_BATCH,
     HANDLER_EVENT,
     HANDLER_RESUME,
-    AllOf,
-    AnyOf,
     Batch,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Sleep,
@@ -39,8 +36,6 @@ from repro.simulate.engine import (
 from repro.simulate.resources import Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Batch",
     "CalendarEventQueue",
     "Environment",
@@ -49,7 +44,6 @@ __all__ = [
     "HANDLER_EVENT",
     "HANDLER_RESUME",
     "HeapEventQueue",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",

@@ -3,20 +3,19 @@
 The queue stores *packed records* — ``(time, priority, seq, handler_id,
 arg)`` tuples — not event objects.  Popping a record jumps through a
 small per-:class:`Environment` handler table: ``handler_id`` 0 fires the
-:class:`Event` object in ``arg`` (the rich composition layer), any other
+:class:`Event` object in ``arg`` (the rich layer), any other
 id calls a registered handler function with ``arg``.  The common case —
 a one-shot timed wakeup — therefore never allocates an ``Event`` or a
 callback list: :meth:`Environment.call_at` books a bare record, and a
 process that yields :meth:`Environment.sleep` is resumed through the
 builtin process-resume handler.
 
-Rich ``Event`` / :class:`Process` / ``AllOf``-style composition remains
-as a thin layer on top: an Event is a value holder plus a callback list,
-and scheduling one just packs a record with handler id 0.  The queue
-itself lives behind the small interface in
-:mod:`repro.simulate.calendar`: a slotted calendar queue by default,
-with the seed binary heap available as ``Environment(kernel="heap")``
-for ablation.
+Rich ``Event`` / :class:`Process` waiting remains as a thin layer on
+top: an Event is a value holder plus a callback list, and scheduling one
+just packs a record with handler id 0.  The queue itself lives behind
+the small interface in :mod:`repro.simulate.calendar`: a slotted
+calendar queue by default, with the seed binary heap available as
+``Environment(kernel="heap")`` for ablation.
 
 Determinism contract: records are totally ordered by ``(time, priority,
 seq)`` where ``seq`` is the monotone tie counter ``Environment._seq``.
@@ -30,12 +29,12 @@ determinism) breaks.  The handler id and argument are never compared —
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.simulate.calendar import make_event_queue
 
 #: Priority classes for simultaneous events.  URGENT fires before NORMAL at
-#: the same timestamp; used by the kernel for interrupts.
+#: the same timestamp; used by the kernel to start processes.
 URGENT = 0
 NORMAL = 1
 
@@ -49,18 +48,6 @@ HANDLER_BATCH = 2
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value given to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 PENDING = object()  # sentinel: event value not yet decided
@@ -137,11 +124,10 @@ class Sleep:
 
     The flat replacement for :class:`Timeout` on the hot path: a process
     that yields a Sleep is resumed by a single packed
-    ``(when, NORMAL, seq, HANDLER_RESUME, (process, value, token))``
-    record — no Event object, no callback list.  A Sleep is *not* an
-    Event: it cannot be shared, composed (``AllOf``/``AnyOf``) or
-    waited on by anyone but the yielding process.  Use
-    :meth:`Environment.timeout` where Event semantics are needed.
+    ``(when, NORMAL, seq, HANDLER_RESUME, (process, value))`` record —
+    no Event object, no callback list.  A Sleep is *not* an Event: it
+    cannot be shared or waited on by anyone but the yielding process.
+    Use :meth:`Environment.timeout` where Event semantics are needed.
 
     Created via :meth:`Environment.sleep` (relative) or
     :meth:`Environment.sleep_until` (absolute); the wakeup time is fixed
@@ -188,10 +174,10 @@ class Process(Event):
 
     A process *is* an event: it fires when the generator returns (value =
     return value) or raises (failure).  Other processes can therefore wait
-    on it or interrupt it.
+    on it.
     """
 
-    __slots__ = ("_generator", "_target", "_sleep_token", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: Optional[str] = None):
@@ -201,39 +187,11 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         env._live_processes += 1
-        #: Guard for packed sleeps: an interrupt bumps the token so the
-        #: orphaned wakeup record is ignored when it eventually pops.
-        self._sleep_token = 0
-        #: The event (or Sleep) this process is currently waiting on.
-        self._target: Any = Initialize(env, self)
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"{self.name} has terminated; cannot interrupt")
-        if self._target is None:
-            raise SimulationError(f"{self.name} cannot interrupt itself")
-        interrupt_ev = Event(self.env)
-        interrupt_ev._ok = False
-        interrupt_ev._value = Interrupt(cause)
-        interrupt_ev.callbacks.append(self._resume)
-        self.env.schedule(interrupt_ev, priority=URGENT)
-        # Deregister from the old target so a later trigger is ignored.
-        target = self._target
-        self._target = None
-        if type(target) is Sleep:
-            # The packed wakeup record cannot be removed from the queue;
-            # bumping the token makes it a no-op when it pops.
-            self._sleep_token += 1
-        elif target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
 
     # -- generator driving --------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -256,14 +214,12 @@ class Process(Event):
                             SimulationError(repr(value)))
             except StopIteration as stop:
                 env._live_processes -= 1
-                self._target = None
                 self._value = stop.value
                 self._ok = True
                 env.schedule(self)
                 break
             except BaseException as err:
                 env._live_processes -= 1
-                self._target = None
                 self._value = err
                 self._ok = False
                 if self.callbacks:
@@ -277,12 +233,9 @@ class Process(Event):
 
             if type(next_ev) is Sleep:
                 # Packed timed wakeup: one record, no Event machinery.
-                self._sleep_token += 1
-                self._target = next_ev
                 env._seq += 1
                 env._queue.push(next_ev.when, NORMAL, env._seq,
-                                HANDLER_RESUME,
-                                (self, next_ev.value, self._sleep_token))
+                                HANDLER_RESUME, (self, next_ev.value))
                 break
             if not isinstance(next_ev, Event):
                 msg = (f"process {self.name!r} yielded {next_ev!r}; "
@@ -300,7 +253,6 @@ class Process(Event):
             # Wait for it.
             assert next_ev.callbacks is not None
             next_ev.callbacks.append(self._resume)
-            self._target = next_ev
             break
         env._active_proc = None
 
@@ -341,10 +293,7 @@ class Batch:
 
 def _resume_sleeping(arg) -> None:
     """HANDLER_RESUME: wake the process sleeping on a packed record."""
-    process, value, token = arg
-    if process._sleep_token != token:
-        return  # interrupted while asleep; the record is orphaned
-    process._target = None
+    process, value = arg
     process._advance(True, value)
 
 
@@ -358,68 +307,6 @@ def _fire_batch(batch: Batch) -> None:
         if callbacks:
             for cb in callbacks:
                 cb(member)
-
-
-class _Condition(Event):
-    """Base for AllOf/AnyOf: fires when ``_check`` says enough children did."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        self._count = 0
-        if not self.events:
-            self.succeed(self._collect())
-            return
-        for ev in self.events:
-            if not isinstance(ev, Event):
-                raise SimulationError(
-                    f"{ev!r} is not an Event; Sleep wakeups are "
-                    "single-waiter and cannot be composed — use "
-                    "env.timeout() where condition semantics are needed")
-            if ev.env is not env:
-                raise SimulationError("all events must share one Environment")
-            if ev._processed:
-                self._on_child(ev)
-            else:
-                assert ev.callbacks is not None
-                ev.callbacks.append(self._on_child)
-
-    def _collect(self) -> dict:
-        return {ev: ev._value for ev in self.events
-                if ev._processed and ev._ok}
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._check():
-            self.succeed(self._collect())
-
-    def _check(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires once every child event has fired successfully."""
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._count == len(self.events)
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any child event fires."""
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._count >= 1
 
 
 class Environment:
@@ -577,9 +464,8 @@ class Environment:
         """A packed timed wakeup for the yielding process (relative).
 
         ``yield env.sleep(d)`` is the flat form of
-        ``yield env.timeout(d)``: same clock advance, same interrupt
-        semantics, no Event allocation.  Only the yielding process can
-        consume it.
+        ``yield env.timeout(d)``: same clock advance, no Event
+        allocation.  Only the yielding process can consume it.
         """
         if not (delay >= 0.0):  # also rejects NaN
             raise SimulationError(f"negative sleep delay {delay!r}")
@@ -633,12 +519,6 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- main loop ------------------------------------------------------------
     def step(self) -> None:
         """Pop and dispatch the next record in the queue."""
@@ -684,6 +564,8 @@ class Environment:
                 raise stop._value
             return stop._value
         deadline = float("inf") if until is None else float(until)
+        if deadline != deadline:
+            raise SimulationError("until is NaN")
         if deadline != float("inf") and deadline < self._now:
             raise SimulationError(f"until={deadline} is in the past")
         # Hot loop: one pop_due call per record (a fused peek + pop),

@@ -195,3 +195,11 @@ def test_jacobi_resizes_with_solver_state():
     assert app.verify(job.data)
     actions = [c.reason for c in fw.timeline.changes]
     assert "expand" in actions
+
+
+def test_zero_processors_rejected():
+    """0 is a processor count, not "unset": it is refused as a negative
+    count is, rather than running on the whole machine."""
+    for count in (0, -3):
+        with pytest.raises(ValueError):
+            ReshapeFramework(num_processors=count, machine_spec=small_spec())

@@ -144,25 +144,6 @@ def test_create_sub_empty_rejected():
         env.run()
 
 
-def test_dup_gives_independent_mailboxes():
-    env, world = make_world()
-    out = {}
-
-    def main(comm):
-        dup = yield from comm.dup()
-        if comm.rank == 0:
-            # Send on the duplicate; a recv on the original must not see it.
-            yield from dup.send("on-dup", dest=1, tag=7)
-        else:
-            got = yield from dup.recv(source=0, tag=7)
-            out["dup"] = got
-            out["orig_empty"] = len(comm._shared.mailboxes[comm.rank]) == 0
-
-    world.launch(main, processors=[0, 1])
-    env.run()
-    assert out == {"dup": "on-dup", "orig_empty": True}
-
-
 def test_launch_zero_processors_rejected():
     env, world = make_world()
 

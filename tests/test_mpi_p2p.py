@@ -237,26 +237,6 @@ def test_wait_all_collects_in_order():
     assert values[1] == [2, 0, 1]
 
 
-def test_persistent_send_recv_reuse():
-    def main(comm):
-        if comm.rank == 0:
-            psend = comm.send_init(dest=1, tag=4)
-            for i in range(3):
-                psend.start(payload=i)
-                yield from psend.wait()
-            return "done"
-        else:
-            precv = comm.recv_init(source=0, tag=4)
-            seen = []
-            for _ in range(3):
-                precv.start()
-                seen.append((yield from precv.wait()))
-            return seen
-
-    _, values = run_spmd(main, nprocs=2)
-    assert values[1] == [0, 1, 2]
-
-
 def test_bad_dest_rank_raises():
     def main(comm):
         yield from comm.send(1, dest=99)

@@ -16,7 +16,7 @@ from repro.simulate import (
     HANDLER_EVENT,
     HANDLER_RESUME,
     Environment,
-    Interrupt,
+    Event,
     SimulationError,
     Sleep,
 )
@@ -131,56 +131,11 @@ class TestSleep:
 
         assert trajectory(True) == trajectory(False)
 
-    def test_interrupt_during_sleep(self):
-        env = Environment()
-        out = []
-
-        def sleeper():
-            try:
-                yield env.sleep(100.0)
-                out.append("woke")
-            except Interrupt as intr:
-                out.append(("interrupted", env.now, intr.cause))
-            yield env.sleep(1.0)
-            out.append(("after", env.now))
-
-        def poker(target):
-            yield env.sleep(2.0)
-            target.interrupt(cause="now")
-
-        p = env.process(sleeper())
-        env.process(poker(p))
-        env.run()
-        # The orphaned packed wakeup at t=100 must be a no-op: the run
-        # ends at t=3 (interrupt at 2, then the 1s sleep), not 100.
-        assert out == [("interrupted", 2.0, "now"), ("after", 3.0)]
-        assert env.now == 100.0  # the orphaned record still pops (inert)
-
-    def test_double_interrupt_while_sleeping_raises(self):
-        env = Environment()
-
-        def sleeper():
-            try:
-                yield env.sleep(50.0)
-            except Interrupt:
-                pass
-
-        def poker(target):
-            yield env.sleep(1.0)
-            target.interrupt()
-            target.interrupt()  # second one: no target any more
-
-        p = env.process(sleeper())
-        env.process(poker(p))
-        with pytest.raises(SimulationError):
-            env.run()
-
     def test_sleep_is_not_an_event(self):
         env = Environment()
         s = env.sleep(1.0)
         assert type(s) is Sleep
-        with pytest.raises(SimulationError):
-            env.all_of([s])
+        assert not isinstance(s, Event)
 
 
 class TestBatch:

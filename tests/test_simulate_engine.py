@@ -3,9 +3,7 @@
 import pytest
 
 from repro.simulate import (
-    AllOf,
     Environment,
-    Interrupt,
     SimulationError,
     Timeout,
 )
@@ -164,76 +162,6 @@ def test_waiting_on_processed_event_returns_immediately():
     assert seen == [(2.0, "old")]
 
 
-def test_all_of_collects_values():
-    env = Environment()
-    results = {}
-
-    def proc():
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(3.0, value="b")
-        got = yield env.all_of([t1, t2])
-        results.update(got)
-        results["when"] = env.now
-
-    env.process(proc())
-    env.run()
-    assert results["when"] == 3.0
-    assert sorted(v for k, v in results.items() if k != "when") == ["a", "b"]
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    times = []
-
-    def proc():
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        yield env.any_of([t1, t2])
-        times.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert times == [1.0]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-    cond = AllOf(env, [])
-    assert cond.triggered
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def attacker(proc):
-        yield env.timeout(2.0)
-        proc.interrupt(cause="preempt")
-
-    v = env.process(victim())
-    env.process(attacker(v))
-    env.run()
-    assert log == [(2.0, "preempt")]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(0.5)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
 def test_determinism_ties_fifo():
     """Events scheduled for the same instant fire in creation order."""
     env = Environment()
@@ -296,18 +224,13 @@ def test_step_empty_queue_is_error():
         env.step()
 
 
-def test_condition_failure_propagates():
+def test_run_until_nan_rejected():
+    """A NaN deadline is refused like a NaN event time: the clock and
+    the queue stay as they were."""
     env = Environment()
-    ev = env.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield env.all_of([ev, env.timeout(10.0)])
-        except KeyError as err:
-            caught.append(env.now)
-
-    env.process(waiter())
-    ev.fail(KeyError("k"))
-    env.run()
-    assert caught == [0.0]
+    env.timeout(3.0)
+    env.run(until=1.0)
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+    assert env.now == 1.0
+    assert env.peek() == 3.0

@@ -393,3 +393,12 @@ def test_framework_from_scenario_matches_spec():
     assert fw.dynamic is False
     assert fw.remap.sweet_spot == ThresholdSweetSpot(0.1)
     assert fw.remap.expansion == GreedyExpansionPolicy()
+
+
+def test_zero_processor_scenario_is_an_error():
+    spec = ScenarioSpec(kind="schedule", workload="single", app="lu",
+                        size=2000, iterations=1, num_processors=0)
+    with pytest.raises(ValueError):
+        repro.run(spec)
+    err = repro.sweep([spec], max_workers=1).results[0]
+    assert not err.ok and err.phase == "error"

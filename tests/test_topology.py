@@ -5,69 +5,10 @@ from hypothesis import given, strategies as st
 
 from repro.cluster.topology import (
     config_size,
-    divides_evenly,
-    factor_nearly_square,
-    grow_nearly_square,
     legal_configs_for,
     next_larger_config,
-    next_smaller_config,
     parse_config,
 )
-
-
-class TestFactorNearlySquare:
-    def test_examples(self):
-        assert factor_nearly_square(1) == (1, 1)
-        assert factor_nearly_square(12) == (3, 4)
-        assert factor_nearly_square(25) == (5, 5)
-        assert factor_nearly_square(40) == (5, 8)
-        assert factor_nearly_square(7) == (1, 7)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            factor_nearly_square(0)
-
-    @given(st.integers(min_value=1, max_value=10_000))
-    def test_property_factors_and_order(self, p):
-        pr, pc = factor_nearly_square(p)
-        assert pr * pc == p
-        assert pr <= pc
-        # pr is the largest divisor <= sqrt(p)
-        for d in range(pr + 1, int(p**0.5) + 1):
-            assert p % d != 0
-
-
-class TestGrowNearlySquare:
-    def test_paper_sequence(self):
-        """The LU 12000 growth path from Figure 3(a): 1x2 -> ... -> 4x4."""
-        grid = (1, 2)
-        seen = [grid]
-        for _ in range(5):
-            grid = grow_nearly_square(*grid)
-            seen.append(grid)
-        assert seen == [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
-
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            grow_nearly_square(0, 3)
-
-    @given(st.integers(min_value=1, max_value=50),
-           st.integers(min_value=1, max_value=50))
-    def test_property_grows_by_smaller_dim(self, pr, pc):
-        npr, npc = grow_nearly_square(pr, pc)
-        assert npr <= npc
-        # Incrementing the smaller dimension adds a full row/column of
-        # the larger dimension's length.
-        assert npr * npc == pr * pc + max(pr, pc)
-        # Squareness never gets worse.
-        assert abs(npr - npc) <= abs(pr - pc) + 1
-
-
-class TestDividesEvenly:
-    def test_examples(self):
-        assert divides_evenly(8000, (4, 5))
-        assert divides_evenly(12000, (6, 8))
-        assert not divides_evenly(14000, (3, 4))  # 3 does not divide 14000
 
 
 class TestParseConfig:
@@ -129,11 +70,3 @@ class TestNextConfig:
 
     def test_next_larger_none_at_top(self):
         assert next_larger_config(self.CONFIGS, (6, 8), available=100) is None
-
-    def test_next_smaller(self):
-        assert next_smaller_config(self.CONFIGS, (4, 4)) == (3, 4)
-        assert next_smaller_config(self.CONFIGS, (1, 2)) is None
-
-    def test_paper_shrink_16_to_12(self):
-        """Figure 3(a): the 4x4 expansion did not pay; shrink to 3x4."""
-        assert next_smaller_config(self.CONFIGS, (4, 4)) == (3, 4)
