@@ -34,9 +34,10 @@ from repro.darray.blockcyclic import global_to_local
 from repro.mpi import Phantom, payload_nbytes
 from repro.mpi.datatypes import HEADER_BYTES
 from repro.mpi.fastcoll import (
-    bcast_children,
+    bcast_table,
     detached_call,
     p2p_time,
+    reduce_table,
     replay_chain,
 )
 from repro.simulate import Event
@@ -87,17 +88,14 @@ def _pivot_round_table(machine, col_nodes: tuple, prow_k: int,
             # Pivot-row segment broadcast from the pivot's home row.
             ("bcast", prow_k, [Phantom(w * itemsize)] * pr),
         ])
-        sends_by_row = []
-        for row in range(pr):
-            row_sends = []
-            if row != 0:
-                row_sends.append(cand_nb)          # reduce: leaf-to-parent
-            row_sends.extend([cand_nb] *
-                             len(bcast_children(row, 0, pr)))
-            row_sends.extend([w * itemsize] *
-                             len(bcast_children(row, prow_k, pr)))
-            sends_by_row.append(tuple(row_sends))
-        entry = tables[key] = (times, tuple(sends_by_row))
+        # Per row, the round's sends in order: the reduce and candidate
+        # broadcast (cand_nb each), then the pivot-row broadcast.
+        up, cand = reduce_table(pr, 0).dests, bcast_table(pr, 0).dests
+        pivot = bcast_table(pr, prow_k).dests
+        sends_by_row = tuple(
+            (cand_nb,) * (len(up[row]) + len(cand[row]))
+            + (w * itemsize,) * len(pivot[row]) for row in range(pr))
+        entry = tables[key] = (times, sends_by_row)
     return entry
 
 

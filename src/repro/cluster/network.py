@@ -119,32 +119,17 @@ class Network:
             dst_nic = self.nodes[dst].nic
             bw = min(src_nic.bandwidth, dst_nic.bandwidth)
             wire_time = nbytes * (1.0 / bw + self.per_byte_overhead)
-            # Bridge to the phantom fast path's replay (if one is live on
-            # this network and the backplane can oversubscribe): announce
-            # this transfer so replayed flows never finalize past its
-            # wire start, and count replayed flows in the backplane
-            # sample below.  With no replay (or backplane headroom) the
-            # original accounting runs untouched.
-            replay = self._replay
-            if replay is not None and not replay.exact:
-                replay = None
-            token = replay.real_announce() if replay is not None else 0
-            try:
-                # Acquire both engines; sender first (fixed order, and
-                # the two resources are distinct objects so there is no
-                # deadlock cycle: every transfer locks tx(src) then
-                # rx(dst) and a transfer holding rx never waits on a tx).
-                if self.software_overhead > 0:
-                    yield self.env.sleep(self.software_overhead)
-                t_arrive = self.env.now
-                tx_req = src_nic.tx.request()
-                yield tx_req
-                rx_req = dst_nic.rx.request()
-                yield rx_req
-            except BaseException:
-                if replay is not None:
-                    replay.real_abandoned(token)
-                raise
+            # Acquire both engines; sender first (fixed order, and the two
+            # resources are distinct objects so there is no deadlock
+            # cycle: every transfer locks tx(src) then rx(dst) and a
+            # transfer holding rx never waits on a tx).
+            if self.software_overhead > 0:
+                yield self.env.sleep(self.software_overhead)
+            t_arrive = self.env.now
+            tx_req = src_nic.tx.request()
+            yield tx_req
+            rx_req = dst_nic.rx.request()
+            yield rx_req
             # Endpoint congestion: a transfer that had to queue behind
             # others pays degraded throughput once it gets the wire.
             if self.env.now > t_arrive:
@@ -153,13 +138,9 @@ class Network:
             # backplane degrade proportionally (sampled at start; exact
             # processor-sharing would need continuous re-timing).
             self._active_flows += 1
-            fast_flows = replay.real_started(token) if replay is not None \
-                else 0
-            demand = (self._active_flows + fast_flows) * bw
+            demand = self._active_flows * bw
             if demand > self.backplane_bandwidth:
                 wire_time *= demand / self.backplane_bandwidth
-            if replay is not None:
-                replay.real_interval(self.env.now + wire_time)
             try:
                 yield self.env.sleep(wire_time)
             finally:

@@ -44,7 +44,7 @@ from repro.mpi.errors import MPIError
 from repro.mpi.fastcoll import (
     FastBcastToken,
     FastCollState,
-    bcast_children,
+    bcast_table,
     build_state as _build_fastcoll_state,
 )
 from repro.mpi.fastp2p import NetReplay, net_replay
@@ -306,13 +306,17 @@ class Comm:
         """The phantom fast path's eligibility record, or None.
 
         Structural conditions (distinct nodes, backplane headroom) are
-        cached on the shared state; the dynamic ones (world switch,
+        cached on the shared state; the dynamic ones (world switches,
         network tracing) are re-checked per call so tests and ablations
-        can toggle them.  Payload-type gating is the caller's job.
+        can toggle them.  Fast collectives ride the point-to-point
+        replay, so they need its switch too: generator transfers and
+        replayed flows then never share a network.  Payload-type gating
+        is the caller's job.
         """
         shared = self._shared
         world = shared.world
-        if not world.collective_fastpath or world.machine.network.trace:
+        if not (world.collective_fastpath and world.p2p_fastpath) \
+                or world.machine.network.trace:
             return None
         return shared.fast_state()
 
@@ -331,7 +335,7 @@ class Comm:
         shared = self._shared
         replay = net_replay(self.world.machine.network)
         t = env.now
-        for child in bcast_children(self.rank, root, self.size):
+        for child in bcast_table(self.size, root).dests[self.rank]:
             if t > env.now:
                 # Sequential blocking sends: advance to this send's
                 # start first, so the replay registers it at its true

@@ -29,8 +29,20 @@ backplane flow-sharing — and persists NIC availability across calls via
 point-to-point traffic and each other's flows all see one consistent
 wire.  Communicators with shared nodes (``cpus_per_node > 1``) and
 machines with oversubscribable backplanes therefore ride the fast path
-too; only real payloads and traced networks fall back to the generator
-path (trace records are produced by real transfers).
+too; only real payloads, traced networks and worlds with the
+point-to-point fast path off fall back to the generator path (trace
+records are produced by real transfers, and fast collectives ride the
+point-to-point replay).
+
+Op tables
+---------
+Each algorithm is written once, as a cached :class:`CollTable` (see
+``TABLES``): per rank, the ordered ops it runs and where each value
+comes from and goes.  :class:`CollSim` interprets it with a program
+counter per rank; the redistribution walk, ``Comm._fast_bcast_forward``
+and the LU pivot-round table read it too.  The event kernel's tie-order
+rules live on the ops.  The generator collectives in
+:mod:`repro.mpi.comm` stay the independent reference.
 
 On exact-backplane networks a send's completion may not be computable at
 registration (a flow's wire time depends on what is on the wire when it
@@ -59,8 +71,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from typing import Any, Callable, Optional
+from functools import lru_cache
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.mpi.datatypes import HEADER_BYTES, payload_nbytes
 from repro.mpi.fastp2p import net_replay
@@ -91,7 +103,7 @@ class Wire:
     NetReplay` instead.  Callers must feed sends in nondecreasing start
     order — per-NIC FIFO then matches the event kernel's grant order.
     Same-node sends take the shared-memory path, so shared-node grids
-    replay exactly too.
+    replay exactly too.  It is a synchronous :class:`CollSim` sender.
     """
 
     __slots__ = ("network", "nodes", "nics", "engines", "record_stats")
@@ -104,8 +116,10 @@ class Wire:
         self.engines = engines if engines is not None else {}
         self.record_stats = record_stats
 
-    def send(self, src: int, dst: int, payload_nb: int, start: float) -> float:
-        """Completion (= mailbox deposit) time of one ``_send_raw``."""
+    def send(self, src: int, dst: int, payload_nb: int, start: float,
+             on_complete: Callable[[float], None]) -> None:
+        """Cost one ``_send_raw`` and hand its completion (= mailbox
+        deposit) time to ``on_complete``, synchronously."""
         net = self.network
         nbytes = payload_nb + HEADER_BYTES
         src_node = self.nodes[src]
@@ -117,7 +131,8 @@ class Wire:
                 net.stats.messages += 1
                 net.stats.bytes += nbytes
                 net.stats.busy_time += end - start
-            return end
+            on_complete(end)
+            return
         t_arrive = start + net.software_overhead
         src_eng = self.engines.setdefault(src_node, [0.0, 0.0])
         dst_eng = self.engines.setdefault(dst_node, [0.0, 0.0])
@@ -137,23 +152,7 @@ class Wire:
             net.stats.messages += 1
             net.stats.bytes += nbytes
             net.stats.busy_time += end - start
-        return end
-
-
-class DetachedSender:
-    """CollSim sender over a scratch :class:`Wire` (always synchronous)."""
-
-    __slots__ = ("wire",)
-
-    def __init__(self, wire: Wire):
-        self.wire = wire
-
-    def send(self, src: int, dst: int, payload_nb: int, start: float,
-             on_complete: Callable[[float], None]) -> None:
-        on_complete(self.wire.send(src, dst, payload_nb, start))
-
-    def defer(self, fn: Callable[[], None]) -> None:
-        fn()
+        on_complete(end)
 
 
 class LiveSender:
@@ -197,36 +196,158 @@ def p2p_time(network, src_node: int, dst_node: int,
 
 
 # ---------------------------------------------------------------------------
-# Binomial-tree structure (mirrors Comm.bcast's masks exactly)
+# Op tables: each algorithm's per-rank program, written once
 # ---------------------------------------------------------------------------
 
-def bcast_parent(rank: int, root: int, size: int) -> int:
-    """The rank this rank receives from in a binomial broadcast."""
-    relrank = (rank - root) % size
-    mask = 1
-    while not relrank & mask:
-        mask <<= 1
-    return ((relrank - mask) + root) % size
+#: Op codes.  ``(SEND, dst, blocking, frm, index)`` sends register
+#: ``frm`` (None: an empty message, whatever the payload), or element
+#: ``index`` of it; ``(RECV, src, into, index, bump)`` receives from
+#: ``src`` (a rank, or ``ANY_SOURCE``) and puts the value ``into`` place,
+#: ``bump`` saying whether a message already waiting costs a hop (see
+#: :func:`reduce_table`); ``(WAIT,)`` waits for the outstanding isend.
+SEND, RECV, WAIT = range(3)
+#: A rank's registers: its running value (first its payload), its items.
+ACC, ITEMS = range(2)
+#: Where a received value goes: dropped (the rank keeps its own), as the
+#: new running value, combined into it (``op(received, running)``), or
+#: into the item list at ``index`` (None: at the sender's rank).
+KEEP, REPLACE, COMBINE, STORE = range(4)
+#: Wildcard source, as ``repro.mpi.comm.ANY_SOURCE``.
+ANY_SOURCE = -1
 
 
-def bcast_children(rank: int, root: int, size: int) -> deque:
-    """The ranks this rank forwards to, in send order."""
-    relrank = (rank - root) % size
-    if relrank == 0:
+class CollTable(NamedTuple):
+    """One algorithm on one communicator size (and root).  Per rank: the
+    ordered ops it runs; None or ``(index, part)`` — its item list starts
+    with its payload (``part`` None) or element ``part`` at ``index``;
+    the register it returns (None: nothing); its sends' destinations."""
+
+    ops: tuple
+    own: tuple
+    out: tuple
+    dests: tuple
+
+
+def _table(ops: list, own: list, out: list) -> CollTable:
+    return CollTable(tuple(map(tuple, ops)), tuple(own), tuple(out),
+                     tuple(tuple(op[1] for op in prog if op[0] == SEND)
+                           for prog in ops))
+
+
+def _exchange(dst: int, frm, index, src: int, into: int, store_at) -> list:
+    """One ``isend``, ``recv``, ``wait`` step of a ring or exchange."""
+    return [(SEND, dst, False, frm, index),
+            (RECV, src, into, store_at, False),
+            (WAIT,)]
+
+
+@lru_cache(maxsize=64)
+def barrier_table(size: int, root: int = 0) -> CollTable:
+    """``Comm.barrier``: dissemination, ``ceil(log2(size))`` rounds
+    (one on a single rank, which then messages itself)."""
+    rounds = max(1, (size - 1).bit_length())
+    ops = [[op for k in range(rounds)
+            for op in _exchange((rank + (1 << k)) % size, None, None,
+                                (rank - (1 << k)) % size, KEEP, None)]
+           for rank in range(size)]
+    return _table(ops, [None] * size, [None] * size)
+
+
+@lru_cache(maxsize=1024)
+def bcast_table(size: int, root: int = 0) -> CollTable:
+    """``Comm.bcast``: binomial tree; a rank receives from the rank its
+    lowest set relative bit points at, then forwards with blocking sends
+    to ``rel + mask`` for the masks below that bit, largest first."""
+    ops = []
+    for rank in range(size):
+        rel = (rank - root) % size
+        prog: list = []
+        if rel:
+            low = rel & -rel
+            prog.append((RECV, (rel - low + root) % size, REPLACE, None,
+                         False))                # no bump: see reduce_table
+        else:
+            low = 1 << (size - 1).bit_length()
+        mask = low >> 1
+        while mask:
+            if rel + mask < size:
+                prog.append((SEND, (rel + mask + root) % size, True, ACC,
+                             None))
+            mask >>= 1
+        ops.append(prog)
+    return _table(ops, [None] * size, [ACC] * size)
+
+
+@lru_cache(maxsize=256)
+def reduce_table(size: int, root: int = 0) -> CollTable:
+    """``Comm.reduce``: binomial tree; a rank combines its children's
+    partials, lowest mask first, then sends to its parent (blocking).
+
+    A receive of a message already waiting bumps the hop class: the
+    kernel still spends one event on the immediate get, so the rank
+    sends one event after a same-instant peer that consumed nothing
+    (``tests/test_reduce_synchronized.py``).  The broadcast's and the
+    gather root's receives never had the bump, and adding it would
+    reorder tied detached broadcast sends, so it stays per op."""
+    ops = []
+    for rank in range(size):
+        rel = (rank - root) % size
+        prog: list = []
         mask = 1
         while mask < size:
+            if rel & mask:
+                prog.append((SEND, ((rel & ~mask) + root) % size, True, ACC,
+                             None))
+                break
+            if rel | mask < size:
+                prog.append((RECV, ((rel | mask) + root) % size, COMBINE,
+                             None, True))
             mask <<= 1
-    else:
-        mask = 1
-        while not relrank & mask:
-            mask <<= 1
-    mask >>= 1
-    out: deque = deque()
-    while mask > 0:
-        if relrank + mask < size:
-            out.append((relrank + mask + root) % size)
-        mask >>= 1
-    return out
+        ops.append(prog)
+    return _table(ops, [None] * size,
+                  [ACC if rank == root else None for rank in range(size)])
+
+
+@lru_cache(maxsize=256)
+def gather_table(size: int, root: int = 0) -> CollTable:
+    """``Comm.gather``: every other rank sends to the root (blocking),
+    which receives ``size - 1`` times from ``ANY_SOURCE``."""
+    ops: list = [[(SEND, root, True, ACC, None)]] * size
+    ops[root] = [(RECV, ANY_SOURCE, STORE, None, False)] * (size - 1)
+    at_root = [rank == root for rank in range(size)]
+    return _table(ops, [(root, None) if r else None for r in at_root],
+                  [ITEMS if r else None for r in at_root])
+
+
+@lru_cache(maxsize=64)
+def allgather_table(size: int, root: int = 0) -> CollTable:
+    """``Comm.allgather``: ring; step ``s`` passes item ``rank - s`` to
+    the right and stores item ``rank - s - 1`` from the left."""
+    ops = [[op for s in range(size - 1)
+            for op in _exchange((rank + 1) % size, ITEMS, (rank - s) % size,
+                                (rank - 1) % size, STORE,
+                                (rank - s - 1) % size)]
+           for rank in range(size)]
+    return _table(ops, [(rank, None) for rank in range(size)],
+                  [ITEMS] * size)
+
+
+@lru_cache(maxsize=64)
+def alltoall_table(size: int, root: int = 0) -> CollTable:
+    """``Comm.alltoall``: pairwise exchange; step ``s`` sends payload
+    element ``rank + s`` there and receives from ``rank - s``."""
+    ops = [[op for s in range(1, size)
+            for op in _exchange((rank + s) % size, ACC, (rank + s) % size,
+                                (rank - s) % size, STORE, (rank - s) % size)]
+           for rank in range(size)]
+    return _table(ops, [(rank, rank) for rank in range(size)],
+                  [ITEMS] * size)
+
+
+#: The table of each collective kind, by name.
+TABLES = {"barrier": barrier_table, "bcast": bcast_table,
+          "reduce": reduce_table, "gather": gather_table,
+          "allgather": allgather_table, "alltoall": alltoall_table}
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +355,38 @@ def bcast_children(rank: int, root: int, size: int) -> deque:
 # ---------------------------------------------------------------------------
 
 class CollSim:
-    """Pure-arithmetic replay of one collective call.
+    """Pure-arithmetic replay of one collective call: an interpreter of
+    the kind's :class:`CollTable` with a program counter per rank.
 
     Ranks are fed via :meth:`arrive`; :meth:`drain` executes pending
     sends whose start time is due.  Wire times come from ``sender``
     (detached scratch wire or the live network replay) through
-    callbacks; newly resolved ``(rank, completion_time, value)`` triples
-    accumulate until :meth:`take_resolved`.  When a callback fires
-    outside a drain (a deferred exact-backplane completion),
+    callbacks; newly resolved ``(rank, completion_time, value, cause)``
+    tuples accumulate until :meth:`take_resolved`.  When a callback
+    fires outside a drain (a deferred exact-backplane completion),
     ``on_progress`` tells the owner to drain and deliver.  No simulation
     objects are touched — the caller decides how completions become
     events.
+
+    *Cause keys.*  Heap entries are ``(start, cause, seq, rank)`` and
+    resolutions carry ``cause``: a ``(hop_class, exec, sub)`` key of the
+    event that unblocked the rank, ``exec`` counting the replay's
+    arrivals and transfer ends.  Equal-start sends contending for one
+    NIC engine (ranks sharing a node) are then granted, and same-instant
+    completions delivered, in the order the event kernel's causal chains
+    would produce: first ranks resumed one event after a transfer end (a
+    blocking sender at its own mailbox put, sub 0, then a receiver at
+    its get, sub 1), then ranks resumed two events after (an isend's
+    process-completion event, hop class 1).  Each op sets the key by its
+    own rule, in :meth:`_wire_done` and :meth:`_advance`.
     """
 
     def __init__(self, kind: str, size: int, sender, *,
                  root: int = 0, op: Optional[Callable] = None,
                  stats=None):
-        self.kind = kind
+        self.table = TABLES[kind](size, root)
         self.size = size
         self.sender = sender
-        self.root = root
         self.op = op
         self.stats = stats                  # CommStats to mirror, or None
         self.on_progress: Optional[Callable[[], None]] = None
@@ -263,104 +396,45 @@ class CollSim:
         #: wait for their start time (see LiveSender.paced); synchronous
         #: senders let drain cascade everything once all ranks are in.
         self.paced = bool(getattr(sender, "paced", False))
-        self.arrived = [False] * size
         self.n_arrived = 0
-        self.payloads: list[Any] = [None] * size
         self.t_cur = [0.0] * size
-        # Heap entries are (start, cause, seq, rank): ``cause`` is a
-        # ``(hop_class, exec, sub)`` key describing the event that
-        # unblocked the send.  Equal-start sends contending for one NIC
-        # engine are then granted in the same order the event kernel's
-        # causal chains would produce: at a tied instant the kernel
-        # schedules next-send software timeouts in hop order — first
-        # ranks resumed one event after a transfer end (a blocking
-        # send's own mailbox put, sub 0, then a receiver's mailbox get,
-        # sub 1, both in transfer-end order ``exec``), then ranks
-        # resumed two events after (an isend's process-completion event,
-        # hop class 1).  This matters once ranks share NICs
-        # (cpus_per_node > 1): different ranks' simultaneous sends then
-        # contend for one engine.
         self.heap: list[tuple[float, tuple, int, int]] = []
         self._seq = 0
         self._exec = 0                       # monotone replay-event index
-        self.cause: list[tuple] = [(0, 0, 1)] * size  # unblocking event
-        self.dep: dict[tuple[int, int], deque] = {}
+        self.cause: list[tuple] = [(0, 0, 1)] * size
         self.resolved_count = 0
-        # Pending-send descriptors (one outstanding send per rank).
-        self.pend_dst = [0] * size
-        self.pend_value: list[Any] = [None] * size
-        self.send_end: list[Optional[float]] = [None] * size
-        self.send_exec = [0] * size          # replay index of last send
-        if kind == "barrier":
-            self.rounds = max(1, math.ceil(math.log2(size)))
-            self.stage = [0] * size
-        elif kind == "reduce":
-            self.mask = [1] * size
-            self.result: list[Any] = [None] * size
-        elif kind == "gather":
-            self.items: list[Any] = [None] * size
-            self.pool: deque = deque()      # (time, value, src) FIFO
-            self.got = 0
-        elif kind in ("allgather", "alltoall"):
-            self.lists: list[Any] = [None] * size
-            self.stage = [0] * size
-        elif kind == "bcast":
-            self.value: Any = None
-            self.children: list[Optional[deque]] = [None] * size
-        else:  # pragma: no cover - internal misuse
-            raise ValueError(f"unknown collective kind {kind!r}")
-
-    # -- plumbing ----------------------------------------------------------
-    def _push(self, start: float, rank: int) -> None:
-        self._seq += 1
-        heapq.heappush(self.heap,
-                       (start, self.cause[rank], self._seq, rank))
-
-    def _deposit(self, src: int, dst: int, when: float, value: Any,
-                 exec_idx: int) -> None:
-        if self.kind == "gather":
-            # Root receives with ANY_SOURCE: mailbox order is deposit
-            # order, which is execution order here (chronological).
-            self.pool.append((when, value, src, exec_idx))
-        else:
-            self.dep.setdefault((src, dst), deque()).append(
-                (when, value, exec_idx))
-        if self.arrived[dst]:
-            self._advance(dst)
-
-    def _take(self, rank: int, src: int):
-        """Pop the next deposit from ``src`` and update ``rank``'s
-        unblocking cause if the receive actually waited for it."""
-        q = self.dep.get((src, rank))
-        if not q:
-            return None
-        got = q.popleft()
-        if got[0] > self.t_cur[rank]:
-            self.cause[rank] = (0, got[2], 1)
-        return got
-
-    def _start_send(self, rank: int, dst: int, value: Any,
-                    start: float) -> None:
-        self.pend_dst[rank] = dst
-        self.pend_value[rank] = value
-        self._push(start, rank)
+        self.pc = [0] * size
+        #: True while a rank cannot run: not arrived yet, blocked in a
+        #: blocking send, or resolved.
+        self.hold = [True] * size
+        self.regs: list[list] = [[None, None] for _ in range(size)]
+        #: Per destination, deposits ``(when, value, exec, src)`` in
+        #: deposit order (chronological here), as the mailbox holds them.
+        self.mail: list[list] = [[] for _ in range(size)]
+        #: Per rank, the send it has queued or on the wire
+        #: ``(dst, value, blocking)``, and a finished nonblocking send's
+        #: ``(end, exec)`` until its WAIT.
+        self.pend: list[Any] = [None] * size
+        self.sent: list[Any] = [None] * size
 
     @property
     def finished(self) -> bool:
         return self.resolved_count == self.size
 
-    def next_start(self) -> Optional[float]:
-        return self.heap[0][0] if self.heap else None
-
-    # -- driving -----------------------------------------------------------
     def arrive(self, rank: int, now: float, payload: Any) -> list:
-        self.arrived[rank] = True
+        self.hold[rank] = False
         self.n_arrived += 1
-        self.payloads[rank] = payload
         self.t_cur[rank] = now
         self._exec += 1
         self.cause[rank] = (0, self._exec, 1)
-        self._seed(rank)
+        regs = self.regs[rank]
+        regs[ACC] = payload
+        own = self.table.own[rank]
+        if own is not None:
+            items = regs[ITEMS] = [None] * self.size
+            index, part = own
+            items[index] = payload if part is None else payload[part]
+        self._advance(rank)
         self.drain(now)
         return self.take_resolved()
 
@@ -371,247 +445,117 @@ class CollSim:
             force = not self.paced and self.n_arrived == self.size
             while self.heap and (force or self.heap[0][0] <= now):
                 start, _cause, _seq, rank = heapq.heappop(self.heap)
-                dst = self.pend_dst[rank]
-                value = self.pend_value[rank]
+                dst, value, blocking = self.pend[rank]
                 self.sender.send(rank, dst, payload_nbytes(value), start,
-                                 self._wire_done(rank, dst, value))
+                                 self._wire_done(rank, dst, value, blocking))
         finally:
             self._draining = False
 
     def take_resolved(self) -> list:
-        """Newly resolved ``(rank, when, value)`` triples since last call."""
+        """Resolutions since the last call."""
         out = self._resolved
         self._resolved = []
         return out
 
-    def _wire_done(self, rank: int, dst: int,
-                   value: Any) -> Callable[[float], None]:
+    def _wire_done(self, rank: int, dst: int, value: Any,
+                   blocking: bool) -> Callable[[float], None]:
         """Completion continuation of the send just handed to the sender.
 
-        One completion can unblock both endpoints at the same instant;
-        the kernel's resume order then depends on the send mode.  A
-        *blocking* sender resumes at its own mailbox-put fire, before
-        the receiver's get (scheduled right after the put) — sender
-        first.  An *isend* sender resumes only at its request process'
-        completion event, scheduled during the put fire — so the
-        receiver's get fires in between, receiver first.
+        One completion can unblock both endpoints at the same instant.
+        A *blocking* sender resumes at its own mailbox-put fire, before
+        the receiver's get scheduled right after it: sender first, cause
+        ``(0, exec, 0)``.  An *isend* sender resumes only at its request
+        process' completion event, scheduled during the put fire, so the
+        receiver's get fires in between: receiver first, and the
+        sender's cause is set at its WAIT.
         """
-        isend_style = self.kind in ("barrier", "allgather", "alltoall")
-
         def done(end: float) -> None:
             if self.stats is not None:
                 self.stats.sends += 1
                 self.stats.bytes_sent += payload_nbytes(value)
             self._exec += 1
-            self.send_exec[rank] = self._exec
-            self.send_end[rank] = end
-            if isend_style:
-                self._deposit(rank, dst, end, value, self._exec)
-                self._sent(rank, end)
+            if blocking:
+                self.cause[rank] = (0, self._exec, 0)
+                self.t_cur[rank] = end
+                self.hold[rank] = False
+                self._advance(rank)             # before the receiver
             else:
-                self._sent(rank, end)
-                self._deposit(rank, dst, end, value, self._exec)
+                self.sent[rank] = (end, self._exec)
+            self.mail[dst].append((end, value, self._exec, rank))
+            self._advance(dst)
+            if not blocking:
+                self._advance(rank)             # after the receiver
             if not self._draining and self.on_progress is not None:
                 self.sender.defer(self.on_progress)
         return done
 
-    def _resolve(self, rank: int, when: float, value: Any) -> None:
-        # The cause key records what unblocked this rank — completions
-        # sharing one simulated instant must be delivered in the order
-        # the kernel's causal chains would resume the ranks (see the
-        # heap-entry comment above), or the ranks enter their *next*
-        # operation in a different order.
-        self.resolved_count += 1
-        self._resolved.append((rank, when, value, self.cause[rank]))
-
-    # -- per-algorithm programs -------------------------------------------
-    def _seed(self, rank: int) -> None:
-        kind = self.kind
-        if kind == "barrier":
-            dst = (rank + 1) % self.size
-            self._start_send(rank, dst, None, self.t_cur[rank])
-        elif kind == "reduce":
-            self.result[rank] = self.payloads[rank]
-            self._advance(rank)
-        elif kind == "gather":
-            if rank == self.root:
-                self.items[self.root] = self.payloads[rank]
-                self._advance(rank)
-            else:
-                self._start_send(rank, self.root, self.payloads[rank],
-                                 self.t_cur[rank])
-        elif kind == "allgather":
-            items = [None] * self.size
-            items[rank] = self.payloads[rank]
-            self.lists[rank] = items
-            self._start_send(rank, (rank + 1) % self.size,
-                             items[rank], self.t_cur[rank])
-        elif kind == "alltoall":
-            received = [None] * self.size
-            received[rank] = self.payloads[rank][rank]
-            self.lists[rank] = received
-            self.stage[rank] = 1
-            dest = (rank + 1) % self.size
-            self._start_send(rank, dest, self.payloads[rank][dest],
-                             self.t_cur[rank])
-        elif kind == "bcast":
-            if rank == self.root:
-                self.value = self.payloads[rank]
-                self.children[rank] = bcast_children(rank, self.root,
-                                                     self.size)
-                self._bcast_forward(rank, self.t_cur[rank])
-            else:
-                self._advance(rank)
-
-    def _sent(self, rank: int, end: float) -> None:
-        """A rank's outstanding send completed at ``end``."""
-        kind = self.kind
-        if kind in ("reduce", "gather"):
-            # Blocking leaf/child send: the rank is done once it returns
-            # (one hop — it resumes at its own mailbox put).
-            self.cause[rank] = (0, self.send_exec[rank], 0)
-            self._resolve(rank, end, None)
-        elif kind in ("barrier", "allgather", "alltoall"):
-            self._advance(rank)
-        elif kind == "bcast":
-            # The next (sequential, blocking) send is unblocked by this
-            # one's completion (one hop: the rank resumes at its own
-            # mailbox put and schedules the next transfer inline).
-            self.cause[rank] = (0, self.send_exec[rank], 0)
-            self.t_cur[rank] = end
-            self._bcast_forward(rank, end)
-
     def _advance(self, rank: int) -> None:
-        kind = self.kind
-        size = self.size
-        if kind == "barrier":
-            k = self.stage[rank]
-            if self.send_end[rank] is None:
-                return
-            src = (rank - (1 << k)) % size
-            got = self._take(rank, src)
-            if got is None:
-                return
-            if self.send_end[rank] >= max(self.t_cur[rank], got[0]):
-                # isend completion: two hops (put fire, process event).
-                # >=: even when the deposit lands at the same instant,
-                # the rank still waits for its request's process event.
-                self.cause[rank] = (1, self.send_exec[rank], 0)
-            nxt = max(self.send_end[rank], got[0])
-            self.t_cur[rank] = nxt
-            self.stage[rank] = k + 1
-            self.send_end[rank] = None
-            if k + 1 == self.rounds:
-                self._resolve(rank, nxt, None)
-                return
-            self._start_send(rank, (rank + (1 << (k + 1))) % size,
-                             None, nxt)
-        elif kind == "reduce":
-            relrank = (rank - self.root) % size
-            mask = self.mask[rank]
-            while mask < size:
-                if relrank & mask == 0:
-                    peer = relrank | mask
-                    if peer < size:
-                        src = (peer + self.root) % size
-                        got = self._take(rank, src)
-                        if got is None:
-                            self.mask[rank] = mask
-                            return
-                        if got[0] <= self.t_cur[rank]:
-                            # Already deposited: the immediate mailbox
-                            # get still costs the kernel one event (hop).
-                            c = self.cause[rank]
-                            self.cause[rank] = (c[0] + 1, c[1], c[2])
-                        self.t_cur[rank] = max(self.t_cur[rank], got[0])
-                        self.result[rank] = self.op(got[1],
-                                                    self.result[rank])
-                else:
-                    dest = ((relrank & ~mask) + self.root) % size
-                    self.mask[rank] = mask << 1
-                    self._start_send(rank, dest, self.result[rank],
-                                     self.t_cur[rank])
-                    return
-                mask <<= 1
-            self.mask[rank] = mask
-            # relrank 0 (the root) is the only rank that exits the loop.
-            self._resolve(rank, self.t_cur[rank], self.result[rank])
-        elif kind == "gather":
-            while self.got < size - 1 and self.pool:
-                when, value, src, exec_idx = self.pool.popleft()
-                if when > self.t_cur[rank]:
-                    self.cause[rank] = (0, exec_idx, 1)
-                self.t_cur[rank] = max(self.t_cur[rank], when)
-                self.items[src] = value
-                self.got += 1
-            if self.got == size - 1:
-                self._resolve(rank, self.t_cur[rank], self.items)
-        elif kind == "allgather":
-            s = self.stage[rank]
-            if self.send_end[rank] is None:
-                return
-            got = self._take(rank, (rank - 1) % size)
-            if got is None:
-                return
-            if self.send_end[rank] >= max(self.t_cur[rank], got[0]):
-                # isend completion: two hops (put fire, process event).
-                # >=: even when the deposit lands at the same instant,
-                # the rank still waits for its request's process event.
-                self.cause[rank] = (1, self.send_exec[rank], 0)
-            items = self.lists[rank]
-            items[(rank - s - 1) % size] = got[1]
-            nxt = max(self.send_end[rank], got[0])
-            self.t_cur[rank] = nxt
-            self.stage[rank] = s + 1
-            self.send_end[rank] = None
-            if s + 1 == size - 1:
-                self._resolve(rank, nxt, items)
-                return
-            self._start_send(rank, (rank + 1) % size,
-                             items[(rank - s - 1) % size], nxt)
-        elif kind == "alltoall":
-            s = self.stage[rank]
-            if self.send_end[rank] is None:
-                return
-            source = (rank - s) % size
-            got = self._take(rank, source)
-            if got is None:
-                return
-            if self.send_end[rank] >= max(self.t_cur[rank], got[0]):
-                # isend completion: two hops (put fire, process event).
-                # >=: even when the deposit lands at the same instant,
-                # the rank still waits for its request's process event.
-                self.cause[rank] = (1, self.send_exec[rank], 0)
-            self.lists[rank][source] = got[1]
-            nxt = max(self.send_end[rank], got[0])
-            self.t_cur[rank] = nxt
-            self.stage[rank] = s + 1
-            self.send_end[rank] = None
-            if s + 1 == size:
-                self._resolve(rank, nxt, self.lists[rank])
-                return
-            dest = (rank + s + 1) % size
-            self._start_send(rank, dest,
-                             self.payloads[rank][dest], nxt)
-        elif kind == "bcast":
-            if self.children[rank] is not None:
-                return  # already received; spurious wakeup
-            src = bcast_parent(rank, self.root, size)
-            got = self._take(rank, src)
-            if got is None:
-                return
-            self.t_cur[rank] = max(self.t_cur[rank], got[0])
-            self.value = got[1]
-            self.children[rank] = bcast_children(rank, self.root, size)
-            self._bcast_forward(rank, self.t_cur[rank])
-
-    def _bcast_forward(self, rank: int, t: float) -> None:
-        """Queue the next binomial-tree send of ``rank`` (or finish)."""
-        pending = self.children[rank]
-        if not pending:
-            self._resolve(rank, t, self.value)
+        """Run ``rank``'s program until it blocks or ends."""
+        if self.hold[rank]:
             return
-        self._start_send(rank, pending.popleft(), self.value, t)
+        prog = self.table.ops[rank]
+        regs = self.regs[rank]
+        pc = self.pc[rank]
+        stop = len(prog)
+        while pc < stop:
+            op = prog[pc]
+            code = op[0]
+            if code == SEND:
+                _code, dst, blocking, frm, index = op
+                value = None if frm is None else regs[frm]
+                if index is not None:
+                    value = value[index]
+                self.pend[rank] = (dst, value, blocking)
+                self._seq += 1
+                heapq.heappush(self.heap, (self.t_cur[rank],
+                                           self.cause[rank], self._seq, rank))
+                pc += 1
+                if blocking:
+                    self.hold[rank] = True
+                    break
+            elif code == RECV:
+                box = self.mail[rank]
+                for at, got in enumerate(box):
+                    if op[1] == ANY_SOURCE or got[3] == op[1]:
+                        break
+                else:
+                    break               # nothing to match yet: blocked
+                when, value, exec_idx, sender = box.pop(at)
+                if when > self.t_cur[rank]:
+                    # Resumed by the get the deposit pushes.
+                    self.cause[rank] = (0, exec_idx, 1)
+                    self.t_cur[rank] = when
+                elif op[4]:             # bump: see reduce_table
+                    c = self.cause[rank]
+                    self.cause[rank] = (c[0] + 1, c[1], c[2])
+                into = op[2]
+                if into == REPLACE:
+                    regs[ACC] = value
+                elif into == COMBINE:
+                    regs[ACC] = self.op(value, regs[ACC])
+                elif into == STORE:
+                    regs[ITEMS][sender if op[3] is None else op[3]] = value
+                pc += 1
+            else:
+                if self.sent[rank] is None:
+                    break
+                end, exec_idx = self.sent[rank]
+                self.sent[rank] = None
+                if end >= self.t_cur[rank]:
+                    # The isend's process event: two hops after the
+                    # transfer end, so it follows a deposit that landed
+                    # at the same instant (>=).
+                    self.cause[rank] = (1, exec_idx, 0)
+                    self.t_cur[rank] = end
+                pc += 1
+        self.pc[rank] = pc
+        if pc == stop and not self.hold[rank]:
+            self.hold[rank] = True
+            self.resolved_count += 1
+            out = self.table.out[rank]
+            self._resolved.append((rank, self.t_cur[rank],
+                                   None if out is None else regs[out],
+                                   self.cause[rank]))
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +590,6 @@ class FastCollState:
         self.exclusive = exclusive
         self.quiet = quiet
 
-    def sender(self) -> LiveSender:
-        network = self.shared.world.machine.network
-        return LiveSender(net_replay(network), self.nodes)
-
     def live_call(self, kind: str, tag: int, *, root: int = 0,
                   op: Optional[Callable] = None) -> "LiveCall":
         calls = self.shared._fast_calls
@@ -665,7 +605,7 @@ def build_state(shared) -> FastCollState:
     Always eligible: the shared network replay (repro.mpi.fastp2p)
     reproduces shared-node NIC queueing, the same-node memory path and
     backplane flow-sharing exactly, so no machine shape rules the fast
-    path out anymore.  The per-call dynamic conditions (flag, tracing,
+    path out anymore.  The per-call conditions (switches, tracing,
     payload types) are checked by the callers in :mod:`repro.mpi.comm`.
     """
     machine = shared.world.machine
@@ -696,8 +636,10 @@ class LiveCall:
         self.shared = shared
         self.tag = tag
         self.env: Environment = shared.world.env
-        self.sim = CollSim(kind, shared.size, state.sender(), root=root,
-                           op=op, stats=shared.stats)
+        sender = LiveSender(net_replay(shared.world.machine.network),
+                            state.nodes)
+        self.sim = CollSim(kind, shared.size, sender, root=root, op=op,
+                           stats=shared.stats)
         self.sim.on_progress = self._on_progress
         self.events: dict[int, Event] = {}
         self._pump_at: Optional[float] = None
@@ -730,10 +672,9 @@ class LiveCall:
         if self.sim.finished:
             self.shared._fast_calls.pop(self.tag, None)
             return
-        nxt = self.sim.next_start()
-        if nxt is not None and (self._pump_at is None
-                                or nxt < self._pump_at):
-            self._pump_at = nxt
+        heap = self.sim.heap
+        if heap and (self._pump_at is None or heap[0][0] < self._pump_at):
+            nxt = self._pump_at = heap[0][0]
             # One packed record — no Event object, no callback list.
             self.env.call_at(max(now, nxt), self._h_pump, self)
 
@@ -787,8 +728,7 @@ def collsim_call(network, nodes, kind, times, payloads, *, root=0, op=None,
     tested against."""
     wire = Wire(network, nodes, engines=engines,
                 record_stats=stats is not None)
-    sim = CollSim(kind, len(nodes), DetachedSender(wire), root=root,
-                  op=op, stats=stats)
+    sim = CollSim(kind, len(nodes), wire, root=root, op=op, stats=stats)
     out = list(times)
     # The last arrival's drain runs the heap dry (synchronous sender).
     for rank in sorted(range(len(nodes)), key=times.__getitem__):

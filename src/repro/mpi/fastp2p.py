@@ -16,10 +16,12 @@ one (usually shared) completion event per distinct completion time.
 path and the collective fast path (:mod:`repro.mpi.fastcoll`): one
 instance per :class:`~repro.cluster.network.Network`, created lazily via
 :func:`net_replay`.  Sharing one instance is what makes the replay exact
-across traffic classes — p2p flows, collective flows and (via the bridge
-in ``Network.transfer``) any remaining generator-path flows all see the
+across traffic classes — p2p flows and collective flows all see the
 same per-NIC engine occupancy (``Nic.fp_free``) and the same backplane
-interval log.
+interval log.  Generator-path transfers never share a network with it:
+fast collectives need the p2p switch too, so a network is either traced
+or switched off (every transfer on the generator path) or replayed
+whole.
 
 Every flow passes through a deferred resolution machine that mirrors
 the kernel's resource semantics: tx engines grant in request
@@ -31,16 +33,14 @@ exactly the set of flows the event kernel would count
 (``Network.transfer`` samples ``_active_flows`` once, at wire start).
 Finalization never runs ahead of what is provably safe — the sweep
 bound ``env.now + software_overhead`` (no future registration can reach
-its wire before that), further clamped by announced-but-not-yet-started
-generator-path transfers — and a single pump event wakes the machine
-when the next wire start lies beyond the bound.  The common case (a
+its wire before that) — and a single pump event wakes the machine when
+the next wire start lies beyond the bound.  The common case (a
 send whose engines are idle, nothing else pending) finalizes inline at
-registration with no queues touched.  ``exact`` marks networks whose
-backplane can actually be oversubscribed (``num_nodes × max NIC
-bandwidth > backplane_bandwidth``): only there do the backplane sample
-and the generator-transfer bridge change anything — on headroom
-networks the demand can never exceed the backplane, so the same
-machinery is trivially exact.
+registration with no queues touched.  Only where the backplane can
+actually be oversubscribed (``num_nodes × max NIC bandwidth >
+backplane_bandwidth``) does the backplane sample change anything — on
+headroom networks the demand can never exceed the backplane, so the
+same machinery is trivially exact.
 
 Equivalence contract
 --------------------
@@ -80,11 +80,11 @@ class _Flow:
     """One in-flight replayed transfer (exact regime)."""
 
     __slots__ = ("src", "dst", "nb", "bw", "start", "t_arrive", "seq",
-                 "g_tx", "record_stats", "on_complete")
+                 "g_tx", "on_complete")
 
     def __init__(self, src: int, dst: int, nb: int, bw: float,
                  start: float, t_arrive: float, seq: int,
-                 record_stats: bool, on_complete: Callable[[float], None]):
+                 on_complete: Callable[[float], None]):
         self.src = src
         self.dst = dst
         self.nb = nb
@@ -93,7 +93,6 @@ class _Flow:
         self.t_arrive = t_arrive
         self.seq = seq
         self.g_tx = 0.0
-        self.record_stats = record_stats
         self.on_complete = on_complete
 
 
@@ -103,12 +102,6 @@ class NetReplay:
     def __init__(self, network):
         self.net = network
         self.env = network.env
-        nodes = network.nodes
-        bw_max = max(n.nic.bandwidth for n in nodes) if nodes else 0.0
-        #: True when concurrent flows could oversubscribe the backplane
-        #: (each flow holds one tx engine, so at most ``len(nodes)`` run
-        #: at once); the deferred machine is only needed then.
-        self.exact = len(nodes) * bw_max > network.backplane_bandwidth
         self._seq = 0
         #: One packed pump record handler for the whole replay (see
         #: _arm_pump); registered once per network replay.
@@ -120,9 +113,6 @@ class NetReplay:
         self._tx_busy: dict[int, bool] = {}  # tx granted, not yet finalized
         self._rxq: dict[int, list] = {}      # node -> flows by (g_tx, seq)
         self._act_fast: list[float] = []     # end_hold heap, replayed flows
-        self._act_real: list[float] = []     # end_hold heap, generator flows
-        self._pending_real: dict[int, float] = {}  # token -> t_arrive
-        self._real_token = 0
         self._unresolved = 0
         self._pump_at: Optional[float] = None
         self._sweeping = False
@@ -154,8 +144,7 @@ class NetReplay:
         return ev
 
     def send_flow(self, src: int, dst: int, payload_nb: int, start: float,
-                  on_complete: Callable[[float], None], *,
-                  record_stats: bool = True) -> None:
+                  on_complete: Callable[[float], None]) -> None:
         """Register one transfer; ``on_complete(end)`` fires when its
         completion time is known (inline whenever provably safe)."""
         net = self.net
@@ -166,11 +155,10 @@ class NetReplay:
             node = net.nodes[src]
             end = start + (net.memory_latency +
                            nbytes / node.memory_bandwidth)
-            if record_stats:
-                stats = net.stats
-                stats.messages += 1
-                stats.bytes += nbytes
-                stats.busy_time += end - start
+            stats = net.stats
+            stats.messages += 1
+            stats.bytes += nbytes
+            stats.busy_time += end - start
             on_complete(end)
             return
         t_arrive = start + net.software_overhead
@@ -178,7 +166,7 @@ class NetReplay:
         flow = _Flow(src, dst, nbytes,
                      min(net.nodes[src].nic.bandwidth,
                          net.nodes[dst].nic.bandwidth),
-                     start, t_arrive, self._seq, record_stats, on_complete)
+                     start, t_arrive, self._seq, on_complete)
         if not self._unresolved:
             # Quick path (the common case: nothing else in flight) — the
             # flow is the global minimum candidate by construction, so
@@ -195,32 +183,14 @@ class NetReplay:
         if not self._sweeping:
             self._sweep()
 
-    def _mirror_stats(self, src_nic, dst_nic, nbytes: int,
-                      busy: float) -> None:
-        src_nic.bytes_sent += nbytes
-        dst_nic.bytes_received += nbytes
-        stats = self.net.stats
-        stats.messages += 1
-        stats.bytes += nbytes
-        stats.busy_time += busy
-
     # ------------------------------------------------------------------
     # Exact regime: the deferred resolution machine
     # ------------------------------------------------------------------
     def _sweep_bound(self) -> float:
-        """Latest wire-start instant that is safe to finalize now.
-
-        Any *future* registration reaches its wire no earlier than
-        ``now + software_overhead``; an already-announced generator-path
-        transfer no earlier than ``max(its t_arrive, now)``.
-        """
-        now = self.env.now
-        bound = now + self.net.software_overhead
-        for t in self._pending_real.values():
-            t_eff = t if t > now else now
-            if t_eff < bound:
-                bound = t_eff
-        return bound
+        """Latest wire-start instant that is safe to finalize now: any
+        *future* registration reaches its wire no earlier than
+        ``now + software_overhead``."""
+        return self.env.now + self.net.software_overhead
 
     def _grant_tx(self) -> None:
         """Grant tx engines wherever the head flow's grant is computable
@@ -239,10 +209,9 @@ class NetReplay:
             insort(self._rxq.setdefault(flow.dst, []),
                    (flow.g_tx, seq, flow))
 
-    def _sweep(self, limit: Optional[float] = None) -> None:
-        """Finalize every flow whose wire start is provably safe (and,
-        with ``limit``, no later than it), in global wire-start order;
-        arm a pump for the next one otherwise."""
+    def _sweep(self) -> None:
+        """Finalize every flow whose wire start is provably safe, in
+        global wire-start order; arm a pump for the next one otherwise."""
         self._sweeping = True
         nodes = self.net.nodes
         rxq = self._rxq
@@ -262,17 +231,8 @@ class NetReplay:
                 if best_flow is None:
                     break  # everything left is waiting for a tx grant
                 t_hold = best_key[0]
-                bound = self._sweep_bound()
-                if limit is not None and limit < bound:
-                    bound = limit
-                if t_hold > bound:
-                    now = self.env.now
-                    if limit is None and \
-                            t_hold > now + self.net.software_overhead:
-                        self._arm_pump(t_hold)
-                    # else: clamped by an announced generator-path
-                    # transfer or an explicit limit; the transfer's wire
-                    # start (or the follow-up full sweep) resumes us.
+                if t_hold > self._sweep_bound():
+                    self._arm_pump(t_hold)
                     break
                 dst = best_flow.dst
                 queue = rxq[dst]
@@ -298,17 +258,14 @@ class NetReplay:
         bookkeeping, if any, is the caller's job)."""
         net = self.net
         act_fast = self._act_fast
-        act_real = self._act_real
         while act_fast and act_fast[0] <= t_hold:
             heapq.heappop(act_fast)
-        while act_real and act_real[0] <= t_hold:
-            heapq.heappop(act_real)
         wire = flow.nb * (1.0 / flow.bw + net.per_byte_overhead)
         if t_hold > flow.t_arrive:
             wire *= 1.0 + net.contention_penalty
         # Backplane sample at wire start, exactly as Network.transfer:
         # the flow counts itself on top of everything already on the wire.
-        demand = (len(act_fast) + len(act_real) + 1) * flow.bw
+        demand = (len(act_fast) + 1) * flow.bw
         if demand > net.backplane_bandwidth:
             wire *= demand / net.backplane_bandwidth
         end_hold = t_hold + wire
@@ -318,8 +275,12 @@ class NetReplay:
         src_nic.fp_free[0] = end_hold
         dst_nic.fp_free[1] = end_hold
         end = end_hold + net.latency
-        if flow.record_stats:
-            self._mirror_stats(src_nic, dst_nic, flow.nb, end - flow.start)
+        src_nic.bytes_sent += flow.nb
+        dst_nic.bytes_received += flow.nb
+        stats = net.stats
+        stats.messages += 1
+        stats.bytes += flow.nb
+        stats.busy_time += end - flow.start
         flow.on_complete(end)
 
     def after_sweep(self, fn) -> None:
@@ -343,50 +304,6 @@ class NetReplay:
         self._pump_at = None
         if self._unresolved and not self._sweeping:
             self._sweep()
-
-    # ------------------------------------------------------------------
-    # Bridge for generator-path transfers (Network.transfer)
-    # ------------------------------------------------------------------
-    def real_announce(self) -> int:
-        """A generator-path transfer entered the network; until its wire
-        start, replayed finalization must not run past it."""
-        self._real_token += 1
-        self._pending_real[self._real_token] = (
-            self.env.now + self.net.software_overhead)
-        return self._real_token
-
-    def real_started(self, token: int) -> int:
-        """The announced transfer reached its wire start (``env.now``);
-        returns the number of replayed flows active on the wire now.
-
-        The catch-up sweep is clamped to ``now``: replayed flows with
-        later wire starts must sample *after* this transfer's interval
-        is recorded (``real_interval``), and must not be counted here —
-        they are not on the wire yet.
-        """
-        self._pending_real.pop(token, None)
-        if self._unresolved and not self._sweeping:
-            self._sweep(limit=self.env.now)
-        now = self.env.now
-        act = self._act_fast
-        while act and act[0] <= now:
-            heapq.heappop(act)
-        return len(act)
-
-    def real_interval(self, end_hold: float) -> None:
-        """Record the announced transfer's wire occupancy, then resume
-        the replayed flows that were held behind it — their samples now
-        see this transfer."""
-        heapq.heappush(self._act_real, end_hold)
-        if self._unresolved and not self._sweeping:
-            self._sweep()
-
-    def real_abandoned(self, token: int) -> None:
-        """The announced transfer died before its wire start
-        (failure injection) — unclamp the sweep."""
-        if self._pending_real.pop(token, None) is not None:
-            if self._unresolved and not self._sweeping:
-                self._sweep()
 
     # ------------------------------------------------------------------
     # Completion-event grouping

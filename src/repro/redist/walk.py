@@ -16,12 +16,14 @@ ranks joined, which is where the live driver would have started.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from functools import lru_cache
 from typing import Callable, Generator, Optional
 
+from repro.mpi import fastcoll
 from repro.mpi.comm import _COLL_TAG_BASE
 from repro.mpi.datatypes import HEADER_BYTES
-from repro.mpi.fastcoll import CollSim, LiveCall, bcast_children
+from repro.mpi.fastcoll import CollSim, LiveCall
 from repro.mpi.fastp2p import net_replay
 from repro.simulate import Event
 from repro.simulate.engine import (
@@ -47,24 +49,46 @@ _SENDS = object()
 _SCAN_LIMIT = 64
 
 
+def _table_ops(table, payload_nb: int, name: str) -> tuple:
+    """Per rank, a :mod:`~repro.mpi.fastcoll` op table as walk ops:
+    blocking sends are the generator broadcast's point-to-point sends
+    (mode 0, then a WAIT), nonblocking ones a live collective's (mode 1
+    for the rank's first op, 2 for the drains' sends).  The k-th send
+    of a rank pair meets its k-th receive: ``(name, src, k)`` keys it."""
+    out = []
+    for rank, prog in enumerate(table.ops):
+        ops: list = []
+        seen: Counter = Counter()           # ops so far per (src, dst)
+        for op in prog:
+            if op[0] == fastcoll.WAIT:
+                ops.append((WAIT,))
+                continue
+            pair = (rank, op[1]) if op[0] == fastcoll.SEND else (op[1], rank)
+            key = (name, pair[0], seen[pair])
+            seen[pair] += 1
+            if op[0] == fastcoll.RECV:
+                ops.append((RECV, key, None))
+            elif op[2]:
+                ops += [(SEND, op[1], payload_nb, key, 0), (WAIT,)]
+            else:
+                ops.append((SEND, op[1], payload_nb, key, 2 if ops else 1))
+        out.append(tuple(ops))
+    return tuple(out)
+
+
 @lru_cache(maxsize=64)
 def barrier_ops(size: int) -> tuple:
-    """Per rank, the dissemination barrier of ``Comm.barrier`` as walk
-    ops."""
-    out = []
-    for rank in range(size if size > 1 else 0):
-        ops: list = []
-        for k in range((size - 1).bit_length()):
-            key = ("barrier", k)
-            # Round 0 is sent by the arriving rank itself; later rounds
-            # by the collective's drains, whose order the walk does not
-            # model.
-            ops.append((SEND, (rank + (1 << k)) % size, 0, key,
-                        1 if k == 0 else 2))
-            ops.append((RECV, key, None))
-            ops.append((WAIT,))
-        out.append(tuple(ops))
-    return tuple(out) if size > 1 else ((),)
+    """Per rank, the live ``Comm.barrier`` as walk ops (none on one
+    rank, where it returns at once)."""
+    return ((),) if size == 1 else _table_ops(fastcoll.barrier_table(size),
+                                              0, "barrier")
+
+
+@lru_cache(maxsize=64)
+def bcast_ops(size: int, payload_nb: int) -> tuple:
+    """Per rank, ``Comm.bcast`` from rank 0 of a non-phantom payload
+    (blocking point-to-point sends down the binomial tree) as walk ops."""
+    return _table_ops(fastcoll.bcast_table(size), payload_nb, "bcast")
 
 
 def closed_form(gen):
@@ -75,19 +99,6 @@ def closed_form(gen):
     except StopIteration as stop:
         return stop.value
     raise RuntimeError("closed-form operation yielded")
-
-
-@lru_cache(maxsize=64)
-def bcast_ops(size: int, payload_nb: int) -> tuple:
-    """Per rank, ``Comm.bcast`` from rank 0 of a non-phantom payload
-    (blocking point-to-point sends down the binomial tree) as walk ops."""
-    out = []
-    for rank in range(size):
-        ops: list = [(RECV, "bcast", None)] if rank else []
-        for child in bcast_children(rank, 0, size):
-            ops += [(SEND, child, payload_nb, "bcast", 0), (WAIT,)]
-        out.append(tuple(ops))
-    return tuple(out)
 
 
 class _Rendezvous:
@@ -209,11 +220,10 @@ def _admit(comm) -> bool:
            for node in fast.nodes):
         return False
     replay = net_replay(network)
-    if replay._unresolved or replay._pending_real:
+    if replay._unresolved:
         return False
     now = env.now
-    on_wire = (sum(end > now for end in replay._act_fast)
-               + sum(end > now for end in replay._act_real))
+    on_wire = sum(end > now for end in replay._act_fast)
     if (on_wire + comm.size) * bandwidth > network.backplane_bandwidth:
         return False
     lock = machine.disk._lock
@@ -410,9 +420,6 @@ class Walk:
         t_arrive = start + self.overhead
         t_hold = max(t_arrive, self.tx[src], self.rx[dst])
         on_complete(self.hop(src, dst, payload, start, t_arrive, t_hold))
-
-    def defer(self, fn: Callable[[], None]) -> None:
-        fn()
 
     #: CollSim pacing: drain sends only at their start times, as the
     #: live collective's pump records do.

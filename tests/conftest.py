@@ -26,6 +26,9 @@ def pytest_collection_modifyitems(config, items):
         return
     for item in items:
         test = getattr(item, "obj", None)
+        # A test method is collected bound; its settings live on the
+        # function, and a bound method takes no new attributes.
+        test = getattr(test, "__func__", test)
         chosen = getattr(test, "_hypothesis_internal_use_settings", None)
         if chosen is not None:
             test._hypothesis_internal_use_settings = settings(

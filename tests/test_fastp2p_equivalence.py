@@ -273,39 +273,18 @@ def test_p2p_property_tight_backplane(nprocs, skew, nbytes):
                                 backplane_bandwidth=130e6))
 
 
-@settings(deadline=None, max_examples=15)
-@given(nprocs=st.integers(3, 8), skew=skews,
-       nbytes=st.integers(10_000, 400_000))
-def test_mixed_fast_collectives_slow_p2p_bridge(nprocs, skew, nbytes):
-    """Fast collectives over *generator-path* p2p on a tight backplane:
-    the Network.transfer bridge must keep the backplane samples of both
-    traffic classes consistent (replayed flows held behind an announced
-    transfer sample after its interval lands, and vice versa)."""
-    def main(comm):
-        yield comm.env.timeout(skew[comm.rank])
-        yield from comm.barrier()
-        right = (comm.rank + 1) % comm.size
-        left = (comm.rank - 1) % comm.size
-        # Concurrent generator-path transfers...
-        got = yield from comm.sendrecv(Phantom(nbytes), dest=right,
-                                       source=left)
-        # ...interleaved with fast-path collective flows.
-        yield from comm.barrier()
-        items = yield from comm.allgather(Phantom(nbytes // 2))
-        return (comm.env.now, got.nbytes, len(items))
-
-    out = []
-    for coll_fast in (False, True):
-        env = Environment()
-        machine = Machine(env, MachineSpec(num_nodes=nprocs,
-                                           backplane_bandwidth=140e6))
-        world = World(env, machine, launch_overhead=0.0,
-                      collective_fastpath=coll_fast, p2p_fastpath=False)
-        group = world.launch(main, processors=list(range(nprocs)))
-        env.run()
-        out.append((env.now, [p.value for p in group.processes]))
-    assert out[0][0] == out[1][0], "simulated end time diverged"
-    assert out[0][1] == out[1][1], "return values diverged"
+def test_fast_collectives_need_the_p2p_replay():
+    """Fast collectives ride the point-to-point replay: with its switch
+    off they step aside, so generator transfers and replayed flows
+    never share a network."""
+    env = Environment()
+    machine = Machine(env, MachineSpec(num_nodes=2))
+    world = World(env, machine, launch_overhead=0.0,
+                  collective_fastpath=True, p2p_fastpath=False)
+    group = world.launch(lambda comm: comm.barrier(), processors=[0, 1])
+    assert group.view(0)._fastcoll() is None
+    env.run()
+    assert machine.network._replay is None
 
 
 def test_trace_declines_fast_path():
