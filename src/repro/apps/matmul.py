@@ -3,13 +3,19 @@
 C = A @ B on a ``pr x pc`` grid: for each block step ``k``, the owning
 grid column broadcasts its panel of A along grid rows, the owning grid
 row broadcasts its panel of B down grid columns, and every rank does a
-local GEMM accumulation — the classic SUMMA pattern whose communication
-volume per rank is ``n*nb*(pr + pc)`` per sweep.
+local GEMM accumulation — the classic SUMMA pattern.  Over a sweep a
+rank holding ``lm x ln`` of C receives ``lm*n + n*ln`` elements, about
+``n**2 * (1/pr + 1/pc)``.
+
+In phantom mode a grid whose ranks own their nodes and whose flows fit
+the backplane runs a sweep as one live collective call: one interpreter
+(``repro.mpi.fastcoll.CollSim``) runs every rank's program on the shared
+network replay (docs/phantom.md, "Applications").
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Iterator, Optional
 
 import numpy as np
 
@@ -18,6 +24,53 @@ from repro.blacs import ProcessGrid
 from repro.darray import Descriptor, DistributedMatrix, numroc
 from repro.darray.blockcyclic import global_to_local
 from repro.mpi import Phantom
+from repro.mpi.fastcoll import (
+    COMPUTE, KEEP, PROGRAM, PUT, RECV, FastCollState, bcast_table,
+)
+
+
+def _one_call(blacs, mat: bool) -> Optional[FastCollState]:
+    """The grid's fast-path record when a phantom sweep runs as one live
+    collective call (docs/phantom.md, "Applications"), else None: every
+    rank on its own node and the sweep's flows within the backplane."""
+    fast = None if mat else blacs.comm._fastcoll()
+    return fast if fast is not None and fast.exclusive and fast.quiet \
+        else None
+
+
+def _summa_program(ctx: AppContext, desc: Descriptor, lm: int,
+                   ln: int) -> Iterator[tuple]:
+    """One rank's SUMMA sweep as op chunks of the live call, block step
+    by block step: the row broadcast from grid column ``k % pc``, the
+    column broadcast from grid row ``k % pr`` (hop order from
+    ``bcast_table``), then the local GEMM.  The ops are the token path's
+    hops: each send books to its own row or column ``CommStats``."""
+    blacs = ctx.blacs
+    grid = blacs.grid
+    rate = ctx.machine.nodes[ctx.comm.node_of(ctx.comm.rank)].flop_rate
+    bcasts = ((grid.row_members(blacs.myrow), blacs.mycol,
+               blacs.row_comm.stats, lm),
+              (grid.col_members(blacs.mycol), blacs.myrow,
+               blacs.col_comm.stats, ln))
+    chunks: dict = {}                   # (which, root, w) -> ops
+    n, nb = desc.n, desc.nb
+    for k in range(desc.col_blocks):
+        w = min(nb, n - k * nb)
+        for which, (members, me, stats, extent) in enumerate(bcasts):
+            root = k % len(members)
+            ops = chunks.get((which, root, w))
+            if ops is None:
+                nbytes = extent * w * desc.itemsize
+                ops = chunks[which, root, w] = tuple(
+                    # Bump: a message already waiting still costs a get.
+                    (RECV, members[op[1]], KEEP, None, True)
+                    if op[0] == RECV else
+                    (PUT, members[op[1]], nbytes, stats)
+                    for op in bcast_table(len(members), root).ops[me])
+            if ops:
+                yield ops
+        if lm > 0 and ln > 0 and w > 0:
+            yield ((COMPUTE, 2.0 * lm * ln * w / rate),)
 
 
 def pdgemm(ctx: AppContext, a: DistributedMatrix, b: DistributedMatrix,
@@ -38,6 +91,17 @@ def pdgemm(ctx: AppContext, a: DistributedMatrix, b: DistributedMatrix,
 
     lm = numroc(n, nb, myrow, 0, pr)
     ln = numroc(n, nb, mycol, 0, pc)
+    fast = _one_call(blacs, mat)
+    if fast is not None:
+        blocks = desc.col_blocks
+        for view in (blacs.row_comm, blacs.col_comm):
+            view._coll_seq += blocks
+            view.stats.collectives += blocks
+        # A rank done with one sweep joins the next in the same call if
+        # it is still running: the sweeps' hops share one cause order.
+        yield fast.live_call(PROGRAM, PROGRAM).join(
+            me, None, _summa_program(ctx, desc, lm, ln))
+        return
     if mat:
         c.local(me)[...] = 0.0
 
@@ -109,11 +173,13 @@ class MatMulApplication(Application):
         return 2.0 * self.problem_size ** 3
 
     def iterate(self, ctx: AppContext) -> Generator:
-        # SUMMA's sweep has no internal sampling, so the barrier-anchored
-        # measure-once replay is what keeps phantom MM fast: the walk is
-        # measured twice (confirm=2 — the sweep has no internal barriers,
-        # so stability is verified rather than assumed) and replayed in
-        # O(1) per iteration afterwards.
+        # Once a configuration has measured the same per-rank durations
+        # twice (confirm=2: the sweep has no internal barriers, so
+        # stability is verified rather than assumed), the barrier-anchored
+        # replay advances each later iteration in O(1).  The durations
+        # are ``env.now - t0`` and must repeat bit for bit, so W1's MM
+        # measures several sweeps per configuration live first
+        # (docs/phantom.md, "Applications").
         yield from self.replay_iterations(
             ctx,
             lambda: pdgemm(ctx, ctx.data["A"], ctx.data["B"],

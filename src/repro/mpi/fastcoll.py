@@ -205,7 +205,10 @@ def p2p_time(network, src_node: int, dst_node: int,
 #: ``src`` (a rank, or ``ANY_SOURCE``) and puts the value ``into`` place,
 #: ``bump`` saying whether a message already waiting costs a hop (see
 #: :func:`reduce_table`); ``(WAIT,)`` waits for the outstanding isend.
-SEND, RECV, WAIT = range(3)
+#: Programs supplied at arrival (see :data:`PROGRAM`) also use
+#: ``(PUT, dst, nbytes, stats)``, a blocking send of ``nbytes`` booked to
+#: the ``CommStats`` ``stats``, and ``(COMPUTE, seconds)``, local work.
+SEND, RECV, WAIT, PUT, COMPUTE = range(5)
 #: A rank's registers: its running value (first its payload), its items.
 ACC, ITEMS = range(2)
 #: Where a received value goes: dropped (the rank keeps its own), as the
@@ -348,6 +351,10 @@ def alltoall_table(size: int, root: int = 0) -> CollTable:
 TABLES = {"barrier": barrier_table, "bcast": bcast_table,
           "reduce": reduce_table, "gather": gather_table,
           "allgather": allgather_table, "alltoall": alltoall_table}
+#: The kind of a call whose ranks bring their own programs: each starts
+#: empty and runs the op chunks its ``program`` iterator yields
+#: (:meth:`CollSim.arrive`), returning nothing.
+PROGRAM = "program"
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +391,8 @@ class CollSim:
     def __init__(self, kind: str, size: int, sender, *,
                  root: int = 0, op: Optional[Callable] = None,
                  stats=None):
-        self.table = TABLES[kind](size, root)
+        self.table = (_table([()] * size, [None] * size, [None] * size)
+                      if kind == PROGRAM else TABLES[kind](size, root))
         self.size = size
         self.sender = sender
         self.op = op
@@ -396,6 +404,9 @@ class CollSim:
         #: wait for their start time (see LiveSender.paced); synchronous
         #: senders let drain cascade everything once all ranks are in.
         self.paced = bool(getattr(sender, "paced", False))
+        #: A ``PROGRAM`` call drains one hop class per record of an
+        #: instant (see :meth:`drain`).
+        self.levels = kind == PROGRAM
         self.n_arrived = 0
         self.t_cur = [0.0] * size
         self.heap: list[tuple[float, tuple, int, int]] = []
@@ -404,6 +415,10 @@ class CollSim:
         self.cause: list[tuple] = [(0, 0, 1)] * size
         self.resolved_count = 0
         self.pc = [0] * size
+        #: Per rank, the op chunk it runs and, for a ``PROGRAM`` call, the
+        #: iterator of its later chunks (None: the chunk is the program).
+        self.prog = list(self.table.ops)
+        self.more: list = [None] * size
         #: True while a rank cannot run: not arrived yet, blocked in a
         #: blocking send, or resolved.
         self.hold = [True] * size
@@ -412,16 +427,27 @@ class CollSim:
         #: deposit order (chronological here), as the mailbox holds them.
         self.mail: list[list] = [[] for _ in range(size)]
         #: Per rank, the send it has queued or on the wire
-        #: ``(dst, value, blocking)``, and a finished nonblocking send's
-        #: ``(end, exec)`` until its WAIT.
+        #: ``(dst, value, blocking, nbytes, stats)``, and a finished
+        #: nonblocking send's ``(end, exec)`` until its WAIT.
         self.pend: list[Any] = [None] * size
         self.sent: list[Any] = [None] * size
 
     @property
     def finished(self) -> bool:
-        return self.resolved_count == self.size
+        # Mail left over is a message to a program yet to arrive.
+        return self.resolved_count == self.size and not any(self.mail)
 
-    def arrive(self, rank: int, now: float, payload: Any) -> list:
+    def arrive(self, rank: int, now: float, payload: Any,
+               program=None) -> list:
+        """Rank ``rank`` enters at ``now``; ``program`` iterates over the
+        op chunks it runs, for a ``PROGRAM`` call.  A program's rank may
+        enter again once its last program ended, with its next one."""
+        if program is not None:
+            if self.more[rank] is not None:
+                self.resolved_count -= 1
+            self.more[rank] = program
+            self.prog[rank] = ()
+            self.pc[rank] = 0
         self.hold[rank] = False
         self.n_arrived += 1
         self.t_cur[rank] = now
@@ -438,16 +464,22 @@ class CollSim:
         self.drain(now)
         return self.take_resolved()
 
-    def drain(self, now: float) -> None:
-        """Execute due sends; with all ranks in, execute everything."""
+    def drain(self, now: float, level: int = 0) -> None:
+        """Execute due sends; with all ranks in, execute everything.
+
+        A ``PROGRAM`` call stops at a due send whose hop class exceeds
+        ``level``: its owner runs it at a later record of the instant."""
         self._draining = True
         try:
             force = not self.paced and self.n_arrived == self.size
             while self.heap and (force or self.heap[0][0] <= now):
+                if self.levels and self.heap[0][1][0] > level:
+                    break
                 start, _cause, _seq, rank = heapq.heappop(self.heap)
-                dst, value, blocking = self.pend[rank]
-                self.sender.send(rank, dst, payload_nbytes(value), start,
-                                 self._wire_done(rank, dst, value, blocking))
+                dst, value, blocking, nbytes, stats = self.pend[rank]
+                self.sender.send(rank, dst, nbytes, start,
+                                 self._wire_done(rank, dst, value, blocking,
+                                                 nbytes, stats))
         finally:
             self._draining = False
 
@@ -457,8 +489,8 @@ class CollSim:
         self._resolved = []
         return out
 
-    def _wire_done(self, rank: int, dst: int, value: Any,
-                   blocking: bool) -> Callable[[float], None]:
+    def _wire_done(self, rank: int, dst: int, value: Any, blocking: bool,
+                   nbytes: int, stats) -> Callable[[float], None]:
         """Completion continuation of the send just handed to the sender.
 
         One completion can unblock both endpoints at the same instant.
@@ -470,9 +502,9 @@ class CollSim:
         sender's cause is set at its WAIT.
         """
         def done(end: float) -> None:
-            if self.stats is not None:
-                self.stats.sends += 1
-                self.stats.bytes_sent += payload_nbytes(value)
+            if stats is not None:
+                stats.sends += 1
+                stats.bytes_sent += nbytes
             self._exec += 1
             if blocking:
                 self.cause[rank] = (0, self._exec, 0)
@@ -493,19 +525,33 @@ class CollSim:
         """Run ``rank``'s program until it blocks or ends."""
         if self.hold[rank]:
             return
-        prog = self.table.ops[rank]
+        prog = self.prog[rank]
         regs = self.regs[rank]
         pc = self.pc[rank]
         stop = len(prog)
-        while pc < stop:
+        while True:
+            if pc == stop:
+                more = self.more[rank]
+                prog = None if more is None else next(more, None)
+                if prog is None:
+                    break
+                self.prog[rank] = prog
+                pc = 0
+                stop = len(prog)
+                continue
             op = prog[pc]
             code = op[0]
-            if code == SEND:
-                _code, dst, blocking, frm, index = op
-                value = None if frm is None else regs[frm]
-                if index is not None:
-                    value = value[index]
-                self.pend[rank] = (dst, value, blocking)
+            if code == SEND or code == PUT:
+                if code == PUT:
+                    _code, dst, nbytes, stats = op
+                    value, blocking = None, True
+                else:
+                    _code, dst, blocking, frm, index = op
+                    value = None if frm is None else regs[frm]
+                    if index is not None:
+                        value = value[index]
+                    nbytes, stats = payload_nbytes(value), self.stats
+                self.pend[rank] = (dst, value, blocking, nbytes, stats)
                 self._seq += 1
                 heapq.heappush(self.heap, (self.t_cur[rank],
                                            self.cause[rank], self._seq, rank))
@@ -536,7 +582,7 @@ class CollSim:
                 elif into == STORE:
                     regs[ITEMS][sender if op[3] is None else op[3]] = value
                 pc += 1
-            else:
+            elif code == WAIT:
                 if self.sent[rank] is None:
                     break
                 end, exec_idx = self.sent[rank]
@@ -547,6 +593,11 @@ class CollSim:
                     # at the same instant (>=).
                     self.cause[rank] = (1, exec_idx, 0)
                     self.t_cur[rank] = end
+                pc += 1
+            else:               # COMPUTE: a sleep record resumes it
+                self.t_cur[rank] += op[1]
+                c = self.cause[rank]
+                self.cause[rank] = (0, c[1], c[2])
                 pc += 1
         self.pc[rank] = pc
         if pc == stop and not self.hold[rank]:
@@ -590,7 +641,7 @@ class FastCollState:
         self.exclusive = exclusive
         self.quiet = quiet
 
-    def live_call(self, kind: str, tag: int, *, root: int = 0,
+    def live_call(self, kind: str, tag, *, root: int = 0,
                   op: Optional[Callable] = None) -> "LiveCall":
         calls = self.shared._fast_calls
         call = calls.get(tag)
@@ -643,23 +694,32 @@ class LiveCall:
         self.sim.on_progress = self._on_progress
         self.events: dict[int, Event] = {}
         self._pump_at: Optional[float] = None
+        #: Instants of the queued pump records (one record per instant)
+        #: and of a queued level record (see CollSim.drain).
+        self._pumps: set = set()
+        self._level_at: Optional[float] = None
         #: One table entry shared by every LiveCall on this Environment
         #: (registered unbound, instance passed as the record argument).
         self._h_pump = self.env.handler_id(LiveCall._on_pump)
+        self._h_level = self.env.handler_id(LiveCall._on_level)
 
-    def join(self, rank: int, payload: Any) -> Event:
+    def join(self, rank: int, payload: Any, program=None) -> Event:
         ev = Event(self.env)
         self.events[rank] = ev
         now = self.env.now
-        resolved = self.sim.arrive(rank, now, payload)
+        resolved = self.sim.arrive(rank, now, payload, program)
         self._finish_drain(now, resolved)
         return ev
 
     def _on_progress(self) -> None:
         """A deferred wire completion advanced the replay off-drain."""
         now = self.env.now
-        self.sim.drain(now)
-        self._finish_drain(now, self.sim.take_resolved())
+        self._finish_drain(now, self._drain(now))
+
+    def _drain(self, now: float, level: int = 0) -> list:
+        """Drain the replay at ``now``; returns the new resolutions."""
+        self.sim.drain(now, level)
+        return self.sim.take_resolved()
 
     def _finish_drain(self, now: float, resolved: list) -> None:
         if resolved:
@@ -673,18 +733,37 @@ class LiveCall:
             self.shared._fast_calls.pop(self.tag, None)
             return
         heap = self.sim.heap
-        if heap and (self._pump_at is None or heap[0][0] < self._pump_at):
-            nxt = self._pump_at = heap[0][0]
-            # One packed record — no Event object, no callback list.
-            self.env.call_at(max(now, nxt), self._h_pump, self)
+        if not heap:
+            return
+        nxt = heap[0][0]
+        if nxt <= now:
+            # A program's next hop class at this instant: one record
+            # queued behind everything else due now.
+            if self._level_at != now:
+                self._level_at = now
+                self.env.call_at(now, self._h_level, self)
+        elif self._pump_at is None or nxt < self._pump_at:
+            self._pump_at = nxt
+            if nxt not in self._pumps:
+                self._pumps.add(nxt)
+                # One packed record — no Event object, no callback list.
+                self.env.call_at(nxt, self._h_pump, self)
 
     def _on_pump(self) -> None:
+        now = self.env.now
+        self._pumps.discard(now)
         self._pump_at = None
         if self.sim.finished:
             return
+        self._finish_drain(now, self._drain(now))
+
+    def _on_level(self) -> None:
+        self._level_at = None
+        if self.sim.finished:
+            return
         now = self.env.now
-        self.sim.drain(now)
-        self._finish_drain(now, self.sim.take_resolved())
+        heap = self.sim.heap
+        self._finish_drain(now, self._drain(now, heap[0][1][0] if heap else 0))
 
 
 # ---------------------------------------------------------------------------
