@@ -145,7 +145,7 @@ class Application(abc.ABC):
         """One outer iteration, executed SPMD by every rank."""
 
     def replay_iterations(self, ctx: AppContext, body, *, key=(),
-                          confirm: int = 1, tol: float = 0.0) -> Generator:
+                          confirm: int = 1) -> Generator:
         """Run one outer iteration, replaying measured durations when
         that is provably equivalent (the measure-once trick PR 2 built
         for LU, generalized).
@@ -156,9 +156,9 @@ class Application(abc.ABC):
         rides the phantom fast path (deterministic simulation, no
         tracing), an iteration's per-rank duration is a pure function of
         the processor configuration — so after ``confirm`` fully
-        measured iterations at a configuration (whose per-rank duration
-        vectors must agree within relative ``tol`` when ``confirm > 1``)
-        the remaining iterations advance the clock in O(1) per rank.
+        measured iterations at a configuration (whose last two per-rank
+        duration vectors must be equal when ``confirm > 1``) the
+        remaining iterations advance the clock in O(1) per rank.
         Replayed iterations book no traffic (documented in
         ``docs/phantom.md``) and return ``None``; anything else — a
         materialized run, a custom non-anchored driver, the fast path
@@ -188,15 +188,7 @@ class Application(abc.ABC):
         done = [r for r in runs if len(r) == size]
         if len(done) >= confirm:
             last = done[-1]
-            stable = True
-            if confirm > 1:
-                prev = done[-2]
-                for rank in range(size):
-                    a, b = prev[rank], last[rank]
-                    if a != b and abs(a - b) > tol * max(abs(a), abs(b)):
-                        stable = False
-                        break
-            if stable:
+            if confirm == 1 or done[-2] == last:
                 if last[comm.rank] > 0:
                     yield ctx.env.sleep(last[comm.rank])
                 return None

@@ -9,7 +9,7 @@ Each iteration charges a fixed per-rank compute time (perfect speedup:
 so resizes never redistribute anything.
 
 Used by :meth:`repro.workloads.generator.WorkloadGenerator.generate_scale`
-and ``benchmarks/test_perf_engine.py``.
+(the ``sched_scale`` workload of ``benchmarks/e2e``).
 """
 
 from __future__ import annotations

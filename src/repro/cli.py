@@ -4,7 +4,7 @@
     python -m repro workload w1 --iterations 10
     python -m repro sweep lu --size 8000
     python -m repro synth --jobs 8 --seed 3 --procs 24
-    python -m repro grid all --smoke --workers 2 --speedup
+    python -m repro grid all --smoke --workers 2
 
 Every subcommand builds declarative :class:`ScenarioSpec` objects and
 resolves them through the one shared resolver
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import pathlib
 import sys
 
@@ -212,11 +211,7 @@ def cmd_grid(args) -> int:
     specs, sections = grid_specs(args)
     if args.json:
         return _emit_specs(specs)
-    runner = SweepRunner(args.workers, timeout=args.timeout)
-    serial = None
-    if args.speedup:
-        serial = runner.run_serial(specs)
-    sweep = runner.run(specs)
+    sweep = SweepRunner(args.workers, timeout=args.timeout).run(specs)
 
     parallel = {
         "workers": sweep.workers,
@@ -224,19 +219,6 @@ def cmd_grid(args) -> int:
         "scenarios": len(specs),
         "errors": len(sweep.errors),
     }
-    if serial is not None:
-        parallel["serial_wall_s"] = serial.wall_time
-        parallel["bit_identical"] = serial.results == sweep.results
-        cores = multiprocessing.cpu_count()
-        if sweep.workers >= 2 and cores >= 2:
-            parallel["speedup"] = serial.wall_time / sweep.wall_time
-        else:
-            # An honest null: a 1-core host cannot demonstrate parallel
-            # speedup; the regression gate skips explicit nulls.
-            parallel["speedup"] = None
-            parallel["speedup_skipped"] = (
-                f"needs >=2 cores and >=2 workers (host has {cores} "
-                f"core(s); ran {sweep.workers} worker(s))")
 
     payload: dict = {"smoke": bool(args.smoke),
                      "grid": args.which if not args.file else "file",
@@ -285,16 +267,8 @@ def _print_grid_report(payload: dict, sweep: SweepResult) -> None:
              "makespan (s)"], rows, title="policy x workload ablation"))
         print()
     par = payload["parallel"]
-    line = (f"{par['scenarios']} scenarios, {par['workers']} worker(s), "
-            f"{par['wall_s']:.2f} s wall")
-    if "speedup" in par:
-        if par["speedup"] is None:
-            line += f", speedup skipped: {par['speedup_skipped']}"
-        else:
-            line += (f", {par['serial_wall_s']:.2f} s serial -> "
-                     f"{par['speedup']:.2f}x speedup, bit-identical: "
-                     f"{par['bit_identical']}")
-    print(line)
+    print(f"{par['scenarios']} scenarios, {par['workers']} worker(s), "
+          f"{par['wall_s']:.2f} s wall")
     for err in sweep.errors:
         print(f"  ERROR {err.name}: {err.phase}: {err.error}")
 
@@ -368,9 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-scenario timeout in seconds")
     p_grid.add_argument("--smoke", action="store_true",
                         help="CI-sized grid")
-    p_grid.add_argument("--speedup", action="store_true",
-                        help="also run serially; record speedup and "
-                             "bit-identity")
     p_grid.add_argument("--out",
                         help="write the summary JSON artifact here")
     p_grid.add_argument("--json", action="store_true",

@@ -12,8 +12,7 @@ Two implementations share one small interface (``push`` / ``pop`` /
 
 :class:`HeapEventQueue`
     The seed kernel's ``heapq`` — O(log n) per operation.  Kept as the
-    reference for equivalence tests and the heap-vs-calendar ablation
-    in ``benchmarks/test_perf_engine.py``.
+    reference for the equivalence tests.
 
 :class:`CalendarEventQueue`
     A slotted calendar queue (Brown 1988, hash-mapped variant): events

@@ -2,8 +2,7 @@
 
 One Python-level step per block, addressed through
 :meth:`DistributedMatrix.local_block_slices`.  The vectorized byte
-counting and :func:`repro.darray.copy_rect` are checked against these,
-and ``benchmarks/test_perf_redist.py`` times them.
+counting and :func:`repro.darray.copy_rect` are checked against these.
 """
 
 from __future__ import annotations

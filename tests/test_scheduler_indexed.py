@@ -259,6 +259,23 @@ class TestDirectExecution:
         assert job.turnaround == 6.0  # 3 x 4 s / 2 ranks, no overheads
         assert not job.iteration_log
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "closed-form booking charges compute only: it leaves out "
+        "World.launch_overhead, the completion RPC and the runtime "
+        "barriers that launched ranks pay (50 jobs: makespan 4.378 s "
+        "booked vs 4.560 s launched)"))
+    def test_closed_form_booking_matches_launched_ranks(self):
+        def run(direct):
+            gen = WorkloadGenerator(seed=11, max_initial=16)
+            fw = ReshapeFramework(num_processors=36, dynamic=True,
+                                  direct_execution=direct)
+            jobs = gen.submit_all(fw, gen.generate_scale(50), iterations=1)
+            fw.run()
+            return fw.env.now, {name: job.turnaround
+                                for name, job in jobs.items()}
+
+        assert run(direct=True) == run(direct=False)
+
 
 class TestScaleDeterminism:
     def test_ten_thousand_jobs_deterministic_timeline(self):
