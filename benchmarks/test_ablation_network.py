@@ -27,13 +27,13 @@ def scaling_curve(spec: MachineSpec) -> dict[int, float]:
     out = {}
     for config in CONFIGS:
         app = make_application("lu", 12000, iterations=1)
-        # Reference collective path for every variant: the fast path's
-        # structural gate depends on the spec under ablation (backplane,
-        # bandwidth), and mixing paths would contaminate the ~zero
-        # physics deltas this ablation measures with tied-event
-        # micro-ordering noise (docs/phantom.md).
+        # Generator path for every variant: the table was recorded on
+        # it, and the fast path still moves a few digits — the 5x5
+        # column through the detached walk's chain order
+        # (docs/phantom.md, "Overlapping detached collectives"), one
+        # ideal-network and one 48-processor entry (ROADMAP item 2).
         res = run_static(app, config, machine_spec=spec,
-                         collective_fastpath=False)
+                         fastpath=False)
         out[config[0] * config[1]] = res.mean_iteration_time
     return out
 

@@ -41,15 +41,14 @@ def run_static(app: Application, config: tuple[int, int], *,
                machine_spec: Optional[MachineSpec] = None,
                processors: Optional[Sequence[int]] = None,
                verify: bool = False,
-               collective_fastpath: bool = True) -> StaticRunResult:
+               fastpath: bool = True) -> StaticRunResult:
     """Run ``app`` on a fixed ``(pr, pc)`` grid; returns per-iteration times.
 
     Builds its own environment/machine unless given one.  ``processors``
     pins specific machine processors (defaults to ``0..p-1``).
-    ``collective_fastpath=False`` forces the generator-collective
-    reference path — cross-machine-spec ablations use it so every
-    variant runs the same code path (the fast path's structural gate
-    depends on the spec; see docs/phantom.md).
+    ``fastpath=False`` runs every transfer and collective on the
+    generator path, the reference the fast paths must match
+    (docs/phantom.md).
     """
     pr, pc = config
     nprocs = pr * pc
@@ -61,7 +60,7 @@ def run_static(app: Application, config: tuple[int, int], *,
     if nprocs > machine.total_processors:
         raise ValueError(f"config {config} needs {nprocs} processors; "
                          f"machine has {machine.total_processors}")
-    world = World(env, machine, collective_fastpath=collective_fastpath)
+    world = World(env, machine, fastpath=fastpath)
     iters = iterations if iterations is not None else app.iterations
     grid = ProcessGrid(pr, pc)
     data = app.create_data(grid)

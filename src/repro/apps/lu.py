@@ -123,7 +123,7 @@ def _copy_matrix(dm: DistributedMatrix) -> DistributedMatrix:
 # Whole-call closed form (phantom fast path)
 #
 # PR 2 closed-formed the pivot rounds and row swaps but still walked the
-# panels live — per panel two rendezvous barriers and four token
+# panels live — per panel two rendezvous barriers and four binomial
 # broadcasts through the event machinery, which dominated phantom host
 # time once everything else was fast.  The walk below computes the whole
 # factorization detachedly: one rendezvous collects every rank's entry

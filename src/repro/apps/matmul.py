@@ -43,8 +43,9 @@ def _summa_program(ctx: AppContext, desc: Descriptor, lm: int,
     """One rank's SUMMA sweep as op chunks of the live call, block step
     by block step: the row broadcast from grid column ``k % pc``, the
     column broadcast from grid row ``k % pr`` (hop order from
-    ``bcast_table``), then the local GEMM.  The ops are the token path's
-    hops: each send books to its own row or column ``CommStats``."""
+    ``bcast_table``), then the local GEMM.  The ops are the hops of the
+    per-broadcast path (``Comm.bcast``): each send books to its own row
+    or column ``CommStats``."""
     blacs = ctx.blacs
     grid = blacs.grid
     rate = ctx.machine.nodes[ctx.comm.node_of(ctx.comm.rank)].flop_rate

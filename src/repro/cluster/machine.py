@@ -91,10 +91,6 @@ class Machine:
                              f"0..{self.total_processors - 1}")
         return processor // self.spec.cpus_per_node
 
-    def flop_time(self, flops: float) -> float:
-        """Time for ``flops`` of dense-kernel work on one processor."""
-        return flops / self.spec.flop_rate
-
 
 def system_x(env: Environment, *, num_nodes: int = 50,
              trace_network: bool = False) -> Machine:

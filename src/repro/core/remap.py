@@ -37,10 +37,6 @@ class RemapDecision:
     #: For expansions: machine processors granted (already reserved).
     added_processors: list[int] = field(default_factory=list)
 
-    @property
-    def is_resize(self) -> bool:
-        return self.action in ("expand", "shrink")
-
 
 class RemapScheduler:
     """Evaluates resize requests against pool, queue and profiler state."""

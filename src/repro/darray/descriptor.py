@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.blacs.grid import ProcessGrid
-from repro.darray.blockcyclic import block_owner, local_blocks, numroc
+from repro.darray.blockcyclic import block_owner, numroc
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,6 @@ class Descriptor:
     def owner_of_element(self, i: int, j: int) -> tuple[int, int]:
         """Grid coords of the process owning global element ``(i, j)``."""
         return self.owner_of_block(i // self.mb, j // self.nb)
-
-    def my_row_blocks(self, prow: int) -> list[tuple[int, int, int]]:
-        """Row blocks owned by grid row ``prow``: (gblock, gstart, length)."""
-        return local_blocks(self.m, self.mb, prow, self.rsrc, self.grid.pr)
-
-    def my_col_blocks(self, pcol: int) -> list[tuple[int, int, int]]:
-        """Column blocks owned by grid column ``pcol``."""
-        return local_blocks(self.n, self.nb, pcol, self.csrc, self.grid.pc)
 
     def with_grid(self, grid: ProcessGrid) -> "Descriptor":
         """Same global array and blocking, different process grid."""

@@ -42,9 +42,7 @@ from repro.cluster.machine import Machine
 from repro.mpi.datatypes import HEADER_BYTES, Phantom, payload_nbytes
 from repro.mpi.errors import MPIError
 from repro.mpi.fastcoll import (
-    FastBcastToken,
     FastCollState,
-    bcast_table,
     build_state as _build_fastcoll_state,
 )
 from repro.mpi.fastp2p import NetReplay, net_replay
@@ -181,27 +179,20 @@ class Comm:
         transfers or the world switch is off.
         """
         world = self._shared.world
-        if not world.p2p_fastpath:
-            return None
         network = world.machine.network
-        if network.trace:
+        if not world.fastpath or network.trace:
             return None
         return net_replay(network)
 
     def _fast_send_event(self, replay: NetReplay, payload: Any, dest: int,
-                         tag: int, nbytes: int, *,
-                         start: Optional[float] = None,
-                         collect: Optional[list] = None) -> Event:
+                         tag: int, nbytes: int) -> Event:
         """Register one fast-path send; the returned event fires at the
         deposit time with the envelope already in the mailbox (the
         deposit callback precedes any waiter's resume — the intra-instant
         ordering the equivalence contract relies on)."""
         shared = self._shared
         nodes = shared.nodes
-        ev = replay.send_event(
-            nodes[self.rank], nodes[dest], nbytes,
-            shared.world.env.now if start is None else start,
-            collect=collect)
+        ev = replay.send_event(nodes[self.rank], nodes[dest], nbytes)
         store = shared.mailboxes[dest]
         envelope = Envelope(source=self.rank, tag=tag, payload=payload,
                             nbytes=nbytes)
@@ -306,55 +297,15 @@ class Comm:
         """The phantom fast path's eligibility record, or None.
 
         Structural conditions (distinct nodes, backplane headroom) are
-        cached on the shared state; the dynamic ones (world switches,
+        cached on the shared state; the dynamic ones (the world switch,
         network tracing) are re-checked per call so tests and ablations
-        can toggle them.  Fast collectives ride the point-to-point
-        replay, so they need its switch too: generator transfers and
-        replayed flows then never share a network.  Payload-type gating
-        is the caller's job.
+        can toggle them.  Payload-type gating is the caller's job.
         """
         shared = self._shared
         world = shared.world
-        if not (world.collective_fastpath and world.p2p_fastpath) \
-                or world.machine.network.trace:
+        if not world.fastpath or world.machine.network.trace:
             return None
         return shared.fast_state()
-
-    def _fast_bcast_forward(self, token: FastBcastToken, root: int,
-                            tag: int) -> Generator:
-        """Forward a fast-broadcast token to this rank's tree children.
-
-        Deposits land in the children's mailboxes at exactly the times
-        the generator path's transfers would produce; this rank's clock
-        advances by the duration of its own (sequential, blocking)
-        sends.  On exact-backplane networks a send's completion may be
-        deferred — then this rank simply waits on it, like the blocking
-        generator send it mirrors.
-        """
-        env = self.env
-        shared = self._shared
-        replay = net_replay(self.world.machine.network)
-        t = env.now
-        for child in bcast_table(self.size, root).dests[self.rank]:
-            if t > env.now:
-                # Sequential blocking sends: advance to this send's
-                # start first, so the replay registers it at its true
-                # issue time (grant ordering and backplane sampling vs
-                # other traffic stay exact).
-                yield env.sleep_until(t)
-            ends: list[float] = []
-            ev = self._fast_send_event(replay, token, child, tag,
-                                       token.nbytes, start=t,
-                                       collect=ends)
-            shared.stats.sends += 1
-            shared.stats.bytes_sent += token.nbytes
-            if ends:
-                t = ends[0]
-            else:
-                yield ev
-                t = env.now
-        if t > env.now:
-            yield env.sleep_until(t)
 
     # -- collectives --------------------------------------------------------------
     def barrier(self) -> Generator:
@@ -377,29 +328,13 @@ class Comm:
             yield from req.wait()
 
     def bcast(self, payload: Any, root: int = 0) -> Generator:
-        """Binomial-tree broadcast; every rank returns the payload.
-
-        Phantom fast path: when the *root's* payload is a
-        :class:`Phantom` (and the communicator qualifies), the broadcast
-        ships a :class:`FastBcastToken` down the same binomial tree with
-        arithmetically computed deposit times instead of simulated
-        transfers.  Non-root ranks cannot know the root's payload type,
-        so the decision travels in-band: they post their normal receive
-        and switch paths based on what arrives — mixed fast/slow
-        divergence is structurally impossible.
-        """
+        """Binomial-tree broadcast; every rank returns the payload."""
         self._check_rank(root, "root")
         tag = self._next_coll_tag()
         size = self.size
         if size == 1:
             return payload
         relrank = (self.rank - root) % size
-        if relrank == 0:
-            fast = self._fastcoll()
-            if fast is not None and isinstance(payload, Phantom):
-                yield from self._fast_bcast_forward(
-                    FastBcastToken(payload, payload.nbytes), root, tag)
-                return payload
         # Receive phase: find the bit where we hang off the tree.
         mask = 1
         while mask < size:
@@ -408,10 +343,6 @@ class Comm:
                 payload = yield from self.recv(source, tag)
                 break
             mask <<= 1
-        if isinstance(payload, FastBcastToken):
-            token = payload
-            yield from self._fast_bcast_forward(token, root, tag)
-            return token.value
         # Send phase: forward to our subtree.
         mask >>= 1
         while mask > 0:
@@ -617,35 +548,18 @@ class World:
     def __init__(self, env: Environment, machine: Machine, *,
                  launch_overhead: float = 0.1,
                  spawn_overhead: float = 0.25,
-                 collective_fastpath: bool = True,
-                 p2p_fastpath: Optional[bool] = None):
+                 fastpath: bool = True):
         self.env = env
         self.machine = machine
         #: Per-group startup cost at job launch (scheduler/job-startup path).
         self.launch_overhead = launch_overhead
         #: Cost of MPI_Comm_spawn_multiple (process creation + connect).
         self.spawn_overhead = spawn_overhead
-        #: Master switch for the phantom collective fast path (see
-        #: repro.mpi.fastcoll); equivalence tests and the phantom
-        #: micro-benchmark's "before" leg turn it off.
-        self.collective_fastpath = collective_fastpath
-        self._p2p_fastpath = p2p_fastpath
-
-    @property
-    def p2p_fastpath(self) -> bool:
-        """Switch for the point-to-point fast path (repro.mpi.fastp2p).
-
-        Follows ``collective_fastpath`` (including post-construction
-        toggles) until set explicitly, so one flag still means "the
-        full event path, please".
-        """
-        if self._p2p_fastpath is None:
-            return self.collective_fastpath
-        return self._p2p_fastpath
-
-    @p2p_fastpath.setter
-    def p2p_fastpath(self, value: Optional[bool]) -> None:
-        self._p2p_fastpath = value
+        #: Switch for the phantom fast paths (repro.mpi.fastp2p and
+        #: repro.mpi.fastcoll).  Off, every transfer and collective runs
+        #: on the generator path — the reference the equivalence tests
+        #: compare against.  Must not change while traffic is in flight.
+        self.fastpath = fastpath
 
     def launch(self, main: Callable[..., Generator],
                processors: Sequence[int], args: tuple = (),

@@ -29,18 +29,17 @@ backplane flow-sharing — and persists NIC availability across calls via
 point-to-point traffic and each other's flows all see one consistent
 wire.  Communicators with shared nodes (``cpus_per_node > 1``) and
 machines with oversubscribable backplanes therefore ride the fast path
-too; only real payloads, traced networks and worlds with the
-point-to-point fast path off fall back to the generator path (trace
-records are produced by real transfers, and fast collectives ride the
-point-to-point replay).
+too; only real payloads, traced networks and worlds with the fast path
+switched off (``World(fastpath=False)``) fall back to the generator path
+(trace records are produced by real transfers).
 
 Op tables
 ---------
 Each algorithm is written once, as a cached :class:`CollTable` (see
 ``TABLES``): per rank, the ordered ops it runs and where each value
 comes from and goes.  :class:`CollSim` interprets it with a program
-counter per rank; the redistribution walk, ``Comm._fast_bcast_forward``
-and the LU pivot-round table read it too.  The event kernel's tie-order
+counter per rank; the redistribution walk, the one-call SUMMA sweep and
+the LU pivot-round table read it too.  The event kernel's tie-order
 rules live on the ops.  The generator collectives in
 :mod:`repro.mpi.comm` stay the independent reference.
 
@@ -50,21 +49,16 @@ starts); :class:`CollSim` therefore consumes completions through
 callbacks, which the replay fires inline whenever it is provably safe
 and defers through its pump otherwise.
 
-Two delivery mechanisms:
-
-* **Rendezvous** (:class:`LiveCall`): barrier/reduce/gather/allgather/
-  alltoall.  Eligibility is rank-locally decidable (payload must be
-  :class:`Phantom` — type-symmetric SPMD usage is the same contract real
-  MPI puts on datatypes).  Ranks register their arrival; completions are
-  computed progressively (a reduce leaf resolves at its own send, the
-  root when the whole tree is in) and scheduled via ``schedule_many``.
-* **Token** (:class:`FastBcastToken`): broadcast.  Only the root knows
-  whether the payload is phantom, so the decision travels *in-band*: the
-  root deposits a token into its tree children's mailboxes at the exact
-  deposit times the generator path would produce; receivers recognize
-  the token, forward it arithmetically and skip the generator sends.  A
-  slow (real-payload) broadcast is indistinguishable to receivers until
-  the payload arrives, exactly like real MPI.
+Delivery is a rendezvous (:class:`LiveCall`) for barrier/reduce/gather/
+allgather/alltoall.  Eligibility is rank-locally decidable (payload must
+be :class:`Phantom` — type-symmetric SPMD usage is the same contract
+real MPI puts on datatypes).  Ranks register their arrival; completions
+are computed progressively (a reduce leaf resolves at its own send, the
+root when the whole tree is in) and scheduled via ``schedule_many``.
+A broadcast cannot be gated rank-locally (only the root sees the
+payload), so a standalone ``bcast`` runs its generator tree, each hop
+a replayed point-to-point send; the one-call SUMMA sweep and the LU
+walk read the broadcast's table instead.
 """
 
 from __future__ import annotations
@@ -77,16 +71,6 @@ from typing import Any, Callable, NamedTuple, Optional
 from repro.mpi.datatypes import HEADER_BYTES, payload_nbytes
 from repro.mpi.fastp2p import net_replay
 from repro.simulate import Environment, Event
-
-
-class FastBcastToken:
-    """In-band marker for a fast-path broadcast (see module docstring)."""
-
-    __slots__ = ("value", "nbytes")
-
-    def __init__(self, value: Any, nbytes: int):
-        self.value = value
-        self.nbytes = nbytes
 
 
 # ---------------------------------------------------------------------------

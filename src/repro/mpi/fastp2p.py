@@ -19,9 +19,9 @@ instance per :class:`~repro.cluster.network.Network`, created lazily via
 across traffic classes — p2p flows and collective flows all see the
 same per-NIC engine occupancy (``Nic.fp_free``) and the same backplane
 interval log.  Generator-path transfers never share a network with it:
-fast collectives need the p2p switch too, so a network is either traced
-or switched off (every transfer on the generator path) or replayed
-whole.
+one world switch (``World.fastpath``) covers both fast paths, so a
+network is either traced or switched off (every transfer on the
+generator path) or replayed whole.
 
 Every flow passes through a deferred resolution machine that mirrors
 the kernel's resource semantics: tx engines grant in request
@@ -122,25 +122,16 @@ class NetReplay:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def send_event(self, src: int, dst: int, payload_nb: int, start: float,
-                   *, collect: Optional[list] = None) -> Event:
-        """Register one transfer; returns the event firing at its
-        completion (mailbox-deposit) time.
+    def send_event(self, src: int, dst: int, payload_nb: int) -> Event:
+        """Register one transfer starting now; returns the event firing
+        at its completion (mailbox-deposit) time.
 
         The event is guaranteed to fire exactly once, at the same
         simulated instant the generator path's transfer would return.
-        When the completion time is resolvable immediately it is also
-        appended to ``collect``, letting generators chain sequential
-        sends without yielding.
         """
         ev = Event(self.env)
-
-        def resolve(end: float) -> None:
-            if collect is not None:
-                collect.append(end)
-            self._group_member(ev, end)
-
-        self.send_flow(src, dst, payload_nb, start, resolve)
+        self.send_flow(src, dst, payload_nb, self.env.now,
+                       lambda end: self._group_member(ev, end))
         return ev
 
     def send_flow(self, src: int, dst: int, payload_nb: int, start: float,

@@ -129,9 +129,8 @@ class Sleep:
     cannot be shared or waited on by anyone but the yielding process.
     Use :meth:`Environment.timeout` where Event semantics are needed.
 
-    Created via :meth:`Environment.sleep` (relative) or
-    :meth:`Environment.sleep_until` (absolute); the wakeup time is fixed
-    at creation.
+    Created via :meth:`Environment.sleep`; the wakeup time is fixed at
+    creation (:meth:`Environment.wake_at` is the absolute-time Event).
     """
 
     __slots__ = ("when", "value")
@@ -470,15 +469,6 @@ class Environment:
         if not (delay >= 0.0):  # also rejects NaN
             raise SimulationError(f"negative sleep delay {delay!r}")
         return Sleep(self._now + delay, value)
-
-    def sleep_until(self, when: float, value: Any = None) -> Sleep:
-        """A packed timed wakeup at the absolute time ``when``."""
-        if when != when:
-            raise SimulationError("event time is NaN")
-        if when < self._now:
-            raise SimulationError(f"sleep_until({when}) is in the past "
-                                  f"(now {self._now})")
-        return Sleep(when, value)
 
     def batch_at(self, when: float, priority: int = NORMAL) -> Batch:
         """A :class:`Batch` whose members deliver together at ``when``.

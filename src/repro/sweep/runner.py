@@ -104,28 +104,6 @@ class SweepResult:
     def ok(self) -> bool:
         return not self.errors
 
-    def rows(self) -> list[list]:
-        """Merged tabular view: one row per (scenario, job).
-
-        Columns: scenario name, job, turnaround (s), redistribution
-        (s), utilization, makespan (s).  Scenario kinds without jobs
-        (static/redist) contribute one row with the job column empty.
-        """
-        out: list[list] = []
-        for res in self.results:
-            if not res.ok:
-                out.append([res.name, f"<{res.phase}: {res.error}>",
-                            None, None, None, None])
-                continue
-            if res.job_stats:
-                for name, _size, _arrival, ta, rd in res.job_stats:
-                    out.append([res.name, name, ta, rd,
-                                res.utilization, res.makespan])
-            else:
-                out.append([res.name, "", None, None,
-                            res.utilization, res.makespan])
-        return out
-
     def metrics_dict(self) -> dict[str, dict[str, float]]:
         """Per-scenario metric scalars, keyed by scenario name."""
         return {res.name: dict(res.metrics)

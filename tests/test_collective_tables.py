@@ -1,7 +1,7 @@
 """The collective op tables (``repro.mpi.fastcoll``), checked directly.
 
 Every fast-path consumer — ``CollSim``, the redistribution walk's
-barrier and broadcast ops, ``Comm._fast_bcast_forward`` and the LU
+barrier and broadcast ops, the one-call SUMMA sweep and the LU
 pivot-round table — reads one table per algorithm, so a wrong table
 would be wrong everywhere at once.  These tests pin each table's
 matching, its send counts against the generator path, and the
@@ -140,7 +140,7 @@ def generator_sends(kind, size, root):
     env = Environment()
     machine = Machine(env, MachineSpec(num_nodes=size + 1))
     world = World(env, machine, launch_overhead=0.0,
-                  collective_fastpath=False)
+                  fastpath=False)
     counts = Counter()
     raw = Comm._send_raw
 

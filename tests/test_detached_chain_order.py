@@ -39,7 +39,7 @@ def _live_ends(nodes, body, *, fast=True):
     """Per-rank ``body(comm, env)`` return values of one SPMD launch."""
     env, machine = _machine(nodes)
     world = World(env, machine, launch_overhead=0.0,
-                  collective_fastpath=fast)
+                  fastpath=fast)
     group = world.launch(lambda comm: body(comm, env),
                          processors=list(range(nodes)))
     env.run()
@@ -146,7 +146,7 @@ def _lu_time(n, *, fast=True):
     """One phantom LU(n) iteration on a 5x1 grid, 64-wide panels."""
     app = LUApplication(n, block=64, iterations=1, materialized=False)
     result = run_static(app, (5, 1), machine_spec=MachineSpec(num_nodes=5),
-                        collective_fastpath=fast)
+                        fastpath=fast)
     return result.iteration_times[0]
 
 

@@ -34,8 +34,8 @@ def run_both(main, nprocs, *, num_nodes=None, **spec_kwargs):
     """Run ``main`` SPMD with the fast path off and on; return both
     observations as ``(end_times, values, comm_stats, net_stats)``.
 
-    The off leg disables both fast paths (p2p follows the collective
-    switch), so it is the pristine event-kernel path.
+    The off leg, ``World(fastpath=False)``, is the pristine
+    event-kernel path.
     """
     out = []
     for fast in (False, True):
@@ -43,7 +43,7 @@ def run_both(main, nprocs, *, num_nodes=None, **spec_kwargs):
         machine = Machine(env, MachineSpec(
             num_nodes=num_nodes or max(nprocs, 2), **spec_kwargs))
         world = World(env, machine, launch_overhead=0.0,
-                      collective_fastpath=fast)
+                      fastpath=fast)
         group = world.launch(main, processors=list(range(nprocs)))
         env.run()
         shared = group.comm_shared
@@ -294,7 +294,7 @@ def test_fastpath_respects_world_switch():
     env = Environment()
     machine = Machine(env, MachineSpec(num_nodes=4))
     world = World(env, machine, launch_overhead=0.0,
-                  collective_fastpath=False)
+                  fastpath=False)
 
     def main(comm):
         yield from comm.barrier()
@@ -315,7 +315,7 @@ def _iteration_times(app_cls, config, n, block, fast, *, iterations=3,
     original = comm_module.World.__init__
 
     def patched(self, *args, **kw):
-        kw["collective_fastpath"] = fast
+        kw["fastpath"] = fast
         original(self, *args, **kw)
 
     comm_module.World.__init__ = patched

@@ -24,9 +24,8 @@ from repro.mpi.request import wait_all
 from repro.simulate import Environment
 
 
-def run_both(main, nprocs, *, collectives_fast=False, **spec_kwargs):
-    """Run ``main`` with the p2p fast path off and on; collectives stay
-    on the generator path by default so p2p is isolated."""
+def run_both(main, nprocs, **spec_kwargs):
+    """Run ``main`` with the fast path off and on."""
     out = []
     for fast in (False, True):
         env = Environment()
@@ -34,9 +33,7 @@ def run_both(main, nprocs, *, collectives_fast=False, **spec_kwargs):
             num_nodes=spec_kwargs.pop("num_nodes", None)
             or max(nprocs, 2), **spec_kwargs))
         spec_kwargs["num_nodes"] = machine.spec.num_nodes
-        world = World(env, machine, launch_overhead=0.0,
-                      collective_fastpath=collectives_fast,
-                      p2p_fastpath=fast)
+        world = World(env, machine, launch_overhead=0.0, fastpath=fast)
         group = world.launch(main, processors=list(range(nprocs)))
         env.run()
         shared = group.comm_shared
@@ -208,15 +205,7 @@ def test_mixed_with_fast_collectives():
         yield from comm.barrier()
         return (comm.env.now, got.nbytes)
 
-    slow = run_both(main, 6, collectives_fast=False)[0]
-    env = Environment()
-    machine = Machine(env, MachineSpec(num_nodes=6))
-    world = World(env, machine, launch_overhead=0.0,
-                  collective_fastpath=True)
-    group = world.launch(main, processors=list(range(6)))
-    env.run()
-    assert env.now == slow[0]
-    assert [p.value for p in group.processes] == slow[1]
+    assert_equivalent(*run_both(main, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +262,27 @@ def test_p2p_property_tight_backplane(nprocs, skew, nbytes):
                                 backplane_bandwidth=130e6))
 
 
-def test_fast_collectives_need_the_p2p_replay():
-    """Fast collectives ride the point-to-point replay: with its switch
-    off they step aside, so generator transfers and replayed flows
-    never share a network."""
+@pytest.mark.parametrize("fastpath, trace", [(False, False), (True, True)],
+                         ids=["switched-off", "traced"])
+def test_generator_path_never_touches_the_replay(fastpath, trace):
+    """Switched off or traced, collectives and point-to-point both step
+    aside, so no replayed flow shares the network with a transfer."""
     env = Environment()
-    machine = Machine(env, MachineSpec(num_nodes=2))
-    world = World(env, machine, launch_overhead=0.0,
-                  collective_fastpath=True, p2p_fastpath=False)
-    group = world.launch(lambda comm: comm.barrier(), processors=[0, 1])
+    machine = Machine(env, MachineSpec(num_nodes=4), trace_network=trace)
+    world = World(env, machine, launch_overhead=0.0, fastpath=fastpath)
+
+    def main(comm):
+        yield from comm.barrier()
+        yield from comm.bcast(Phantom(5_000) if comm.rank == 0 else None)
+        yield from comm.sendrecv(Phantom(3_000), dest=(comm.rank + 1) % 4,
+                                 source=(comm.rank - 1) % 4)
+
+    group = world.launch(main, processors=list(range(4)))
     assert group.view(0)._fastcoll() is None
+    assert group.view(0)._fastp2p() is None
     env.run()
     assert machine.network._replay is None
+    assert machine.network.stats.messages > 0
 
 
 def test_trace_declines_fast_path():

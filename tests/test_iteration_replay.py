@@ -93,7 +93,7 @@ def test_fastpath_off_declines():
     (tracing/ablation runs need the live event traffic)."""
     app = CountingApp(64, block=8, iterations=4)
     run_static(app, (4, 1), machine_spec=MachineSpec(num_nodes=4),
-               collective_fastpath=False)
+               fastpath=False)
     assert app.body_runs == 4
 
 

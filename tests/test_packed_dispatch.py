@@ -105,7 +105,7 @@ class TestSleep:
         def proc():
             got = yield env.sleep(3.0, value="v")
             out.append((env.now, got))
-            yield env.sleep_until(10.0)
+            yield env.sleep(7.0)
             out.append((env.now, None))
 
         env.process(proc())

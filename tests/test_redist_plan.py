@@ -83,7 +83,7 @@ def test_redistribute_clock_unchanged(shapes, fast):
     env = Environment()
     machine = Machine(env, MachineSpec(num_nodes=16))
     world = World(env, machine, launch_overhead=0.0,
-                  collective_fastpath=fast)
+                  fastpath=fast)
     old_grid = ProcessGrid(*old_shape)
     new_grid = ProcessGrid(*new_shape)
     desc = Descriptor(m=240, n=240, mb=24, nb=24, grid=old_grid)
@@ -110,7 +110,7 @@ def test_redistribute_clock_unchanged(shapes, fast):
     env2 = Environment()
     machine2 = Machine(env2, MachineSpec(num_nodes=16))
     world2 = World(env2, machine2, launch_overhead=0.0,
-                   collective_fastpath=fast)
+                   fastpath=fast)
     source2 = DistributedMatrix(desc, materialized=False)
     results2 = {}
 
@@ -131,7 +131,7 @@ def test_redistribute_fast_and_slow_clocks_agree():
         env = Environment()
         machine = Machine(env, MachineSpec(num_nodes=16))
         world = World(env, machine, launch_overhead=0.0,
-                      collective_fastpath=fast)
+                      fastpath=fast)
         old_grid, new_grid = ProcessGrid(2, 2), ProcessGrid(2, 3)
         desc = Descriptor(m=360, n=360, mb=24, nb=24, grid=old_grid)
         source = DistributedMatrix(desc, materialized=False)

@@ -20,7 +20,7 @@ def _reduce(nprocs, root, nbytes, fast):
     env = Environment()
     machine = Machine(env, MachineSpec(num_nodes=nprocs))
     world = World(env, machine, launch_overhead=0.0,
-                  collective_fastpath=fast)
+                  fastpath=fast)
 
     def main(comm):
         result = yield from comm.reduce(Phantom(nbytes), SUM, root=root)

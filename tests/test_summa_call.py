@@ -7,8 +7,11 @@ column broadcast and the local GEMM) and registers each hop on the shared
 network replay at its start time.  It must book what the per-broadcast
 paths book:
 
-* the generator path, ``World(collective_fastpath=False)``;
-* the token path, the same run with the gate (``matmul._one_call``) off.
+* the generator path, ``World(fastpath=False)``: ``Comm.bcast``'s
+  binomial tree, every hop a ``Network.transfer``;
+* the replayed path, the same run with the gate (``matmul._one_call``)
+  off: the same tree, every hop a send on the network replay and the
+  grid barrier a live call.
 
 Completion times, ``CommStats`` of every row and column communicator,
 ``_coll_seq``, ``NetworkStats`` and NIC byte counters compare with ``==``
@@ -16,15 +19,18 @@ Completion times, ``CommStats`` of every row and column communicator,
 ``busy_time`` sums the same terms in another order, so it gets 1e-12
 relative.
 
-The two references themselves disagree on some exactly tied hops: at
-one instant the token path resumes every blocking sender before any
-receiver, where the generator path interleaves them, and the replayed
-barrier releases ranks due at one instant in its own order.  When two
-hops sent next tie on a receive engine or a full backplane, that order
-decides which one pays.  Where the references disagree, the one-call
-path must match one of them (``test_tie_where_the_token_path_differs``
-pins a case where it follows the generator path); where they agree, it
-must match both.
+The two references themselves disagree on some exactly tied hops, and
+the difference lies in the network replay, not in the broadcast: the
+replay delivers the sends that complete at one instant through one
+batch record, so every blocking sender resumes before any receiver,
+where ``Network.transfer`` resumes each sender just before its own
+receiver; the replayed barrier also releases ranks due at one instant
+in its own order.  When two hops sent next tie on a receive engine or a
+full backplane, that order decides which one pays.  Where the
+references disagree, the one-call path must match one of them
+(``test_tie_where_the_replay_differs_from_the_generator`` pins a case
+where it follows the generator path); where they agree, it must match
+both.
 """
 
 import random
@@ -54,7 +60,7 @@ def sweep(mode, pr, pc, n, nb, pre, post, *, calls=1, noise=0,
 
     Rank ``r`` sleeps ``pre[r]``, joins a grid barrier, sleeps
     ``post[r]`` and calls ``pdgemm``.  ``mode`` is ``"call"``,
-    ``"token"`` (gate off) or ``"generator"`` (fast paths off).  A
+    ``"replay"`` (gate off) or ``"generator"`` (fast path off).  A
     second job runs ``noise`` one-way message streams on nodes of its
     own, and then the backplane has room for exactly the grid's flows.
     """
@@ -66,7 +72,7 @@ def sweep(mode, pr, pc, n, nb, pre, post, *, calls=1, noise=0,
     spec.update(spec_kw)
     env = Environment()
     machine = Machine(env, MachineSpec(**spec))
-    switches = dict(collective_fastpath=mode != "generator")
+    switches = dict(fastpath=mode != "generator")
     switches.update(world_kw or {})
     world = World(env, machine, launch_overhead=0.0, **switches)
     desc = Descriptor(m=n, n=n, mb=nb, nb=nb, grid=ProcessGrid(pr, pc))
@@ -105,7 +111,7 @@ def sweep(mode, pr, pc, n, nb, pre, post, *, calls=1, noise=0,
             yield from comm.send(Phantom(200_000 + 777 * comm.rank),
                                  comm.rank + 1)
 
-    gate = (lambda blacs, mat: None) if mode == "token" else matmul._one_call
+    gate = (lambda blacs, mat: None) if mode == "replay" else matmul._one_call
     with mock.patch.object(matmul, "_one_call", gate):
         world.launch(main, processors=list(range(size)))
         if noise:
@@ -141,22 +147,23 @@ def differences(a, b):
 
 
 def check(case, *, ties=False):
-    """The one-call path against both references; returns its result.
+    """The one-call path against the generator path and the replayed
+    per-broadcast path; returns its result.
 
     ``ties``: where the references disagree (module docstring), the
     one-call path must match one of them."""
     call = sweep("call", **case)
-    token = sweep("token", **case)
+    replay = sweep("replay", **case)
     generator = sweep("generator", **case)
     to_generator = differences(call, generator)
-    to_token = differences(call, token)
-    if call["fp_free"] != token["fp_free"]:
-        to_token.append("fp_free")
-    if ties and differences(token, generator):
-        assert to_generator == [] or to_token == []
+    to_replay = differences(call, replay)
+    if call["fp_free"] != replay["fp_free"]:
+        to_replay.append("fp_free")
+    if ties and differences(replay, generator):
+        assert to_generator == [] or to_replay == []
     else:
         assert to_generator == []
-        assert to_token == []
+        assert to_replay == []
     return call
 
 
@@ -254,11 +261,12 @@ def test_rank_sweeps_ahead_of_a_late_peer():
                post=[0.0, 5.7e-4]))
 
 
-def test_tie_where_the_token_path_differs():
+def test_tie_where_the_replay_differs_from_the_generator():
     # Found by a random search: at one instant two blocking senders and
-    # their receivers resume; the token path registers both senders'
-    # next hops first, the generator path and the one call interleave
-    # sender and receiver, and two hops then tie on one receive engine.
+    # their receivers resume; the network replay registers both
+    # senders' next hops first, the generator path and the one call
+    # interleave sender and receiver, and two hops then tie on one
+    # receive engine.
     case = dict(pr=4, pc=4, n=32, nb=4, calls=2,
                 pre=[0.0033, 0.0033, 0.0033, 0.0033, 0.0, 0.0, 0.0033,
                      0.0033, 0.0, 0.0, 0.0033, 0.0, 0.0033, 0.0, 0.0033,
@@ -268,7 +276,7 @@ def test_tie_where_the_token_path_differs():
     call = sweep("call", **case)
     generator = sweep("generator", **case)
     assert differences(call, generator) == []
-    assert differences(sweep("token", **case), generator) != []
+    assert differences(sweep("replay", **case), generator) != []
 
 
 @pytest.mark.parametrize("pr, pc", [(2, 4), (3, 5)])
@@ -279,8 +287,8 @@ def test_second_job_binds_the_backplane(pr, pc):
     assert taken(case)
     # The rows' broadcasts run in step, so hops of two rows start at one
     # instant; where the backplane is full, their registration order
-    # decides which one pays, and on 2x4 the token path's order differs
-    # from the generator path's (module docstring).
+    # decides which one pays, and on 2x4 the replayed path's order
+    # differs from the generator path's (module docstring).
     call = check(case, ties=True)
     roomy = sweep("call", **dict(case, backplane_bandwidth=1e12))
     assert roomy["ends"] != call["ends"]     # the backplane did bind
@@ -306,10 +314,8 @@ def test_one_pump_record_per_instant():
     dict(materialized=True),
     dict(cpus_per_node=2, num_nodes=4),
     dict(pr=6, pc=5, num_nodes=30),          # 30 flows > the backplane
-    dict(world_kw={"collective_fastpath": False}),
-    dict(world_kw={"p2p_fastpath": False}),
-], ids=["materialized", "shared-nodes", "not-quiet", "collectives-off",
-        "p2p-off"])
+    dict(world_kw={"fastpath": False}),
+], ids=["materialized", "shared-nodes", "not-quiet", "collectives-off"])
 def test_declines(case):
     base = dict(pr=2, pc=4, n=24, nb=4)
     base.update(case)

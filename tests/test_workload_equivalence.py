@@ -24,8 +24,7 @@ from repro.workloads.paper import WORKLOAD1_PROCESSORS, WORKLOAD2_PROCESSORS
 
 def run(build, processors: int, fastpath: bool):
     fw = ReshapeFramework(num_processors=processors, dynamic=True)
-    fw.world.collective_fastpath = fastpath
-    fw.world.p2p_fastpath = fastpath
+    fw.world.fastpath = fastpath
     jobs = build(fw, iterations=2)
     fw.run()
     assert all(job.turnaround is not None for job in jobs.values())
