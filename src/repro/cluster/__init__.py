@@ -9,15 +9,15 @@ It provides:
   per-NIC serialization, so link contention (the thing contention-free
   redistribution schedules exist to avoid) emerges naturally.
 * :class:`Disk` — a shared disk for the file-based checkpointing baseline.
-* :class:`Machine` — nodes + network + disk; :func:`system_x` builds the
-  paper-calibrated preset.
+* :class:`Machine` — nodes + network + disk; its default
+  :class:`MachineSpec` is the paper-calibrated preset.
 * :mod:`repro.cluster.topology` — processor-grid arithmetic (parsing
   ``PRxPC`` configurations, legal-config enumeration, the next larger
   legal grid).
 """
 
-from repro.cluster.machine import Machine, MachineSpec, system_x
-from repro.cluster.network import Network, TransferRecord
+from repro.cluster.machine import Machine, MachineSpec
+from repro.cluster.network import Network
 from repro.cluster.node import Disk, Nic, Node
 from repro.cluster.topology import legal_configs_for, parse_config
 
@@ -28,8 +28,6 @@ __all__ = [
     "Network",
     "Nic",
     "Node",
-    "TransferRecord",
     "legal_configs_for",
     "parse_config",
-    "system_x",
 ]

@@ -56,8 +56,7 @@ class Machine:
     host them.
     """
 
-    def __init__(self, env: Environment, spec: Optional[MachineSpec] = None,
-                 *, trace_network: bool = False):
+    def __init__(self, env: Environment, spec: Optional[MachineSpec] = None):
         self.env = env
         self.spec = spec or MachineSpec()
         self.nodes = [
@@ -74,8 +73,7 @@ class Machine:
                                memory_latency=self.spec.memory_latency,
                                contention_penalty=self.spec.contention_penalty,
                                software_overhead=self.spec.software_overhead,
-                               backplane_bandwidth=self.spec.backplane_bandwidth,
-                               trace=trace_network)
+                               backplane_bandwidth=self.spec.backplane_bandwidth)
         self.disk = Disk(env,
                          write_bandwidth=self.spec.disk_write_bandwidth,
                          read_bandwidth=self.spec.disk_read_bandwidth)
@@ -91,9 +89,3 @@ class Machine:
                              f"0..{self.total_processors - 1}")
         return processor // self.spec.cpus_per_node
 
-
-def system_x(env: Environment, *, num_nodes: int = 50,
-             trace_network: bool = False) -> Machine:
-    """Build the paper's experimental platform (a System X partition)."""
-    return Machine(env, MachineSpec(num_nodes=num_nodes),
-                   trace_network=trace_network)

@@ -14,26 +14,11 @@ receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator
 
 from repro.cluster.node import Node
 from repro.simulate import Environment
-
-
-@dataclass
-class TransferRecord:
-    """One completed transfer, kept when tracing is enabled."""
-
-    src: int
-    dst: int
-    nbytes: int
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -43,7 +28,6 @@ class NetworkStats:
     messages: int = 0
     bytes: int = 0
     busy_time: float = 0.0
-    records: list[TransferRecord] = field(default_factory=list)
 
 
 class Network:
@@ -55,8 +39,7 @@ class Network:
                  per_byte_overhead: float = 0.0,
                  contention_penalty: float = 0.0,
                  software_overhead: float = 0.0,
-                 backplane_bandwidth: float = float("inf"),
-                 trace: bool = False):
+                 backplane_bandwidth: float = float("inf")):
         self.env = env
         self.nodes = nodes
         #: One-way message latency over the wire (seconds).  55 us is a
@@ -83,7 +66,6 @@ class Network:
         #: kernels on the paper's testbed.
         self.backplane_bandwidth = backplane_bandwidth
         self._active_flows = 0
-        self.trace = trace
         self.stats = NetworkStats()
         #: Lazily created arithmetic replay shared by the phantom fast
         #: paths (see repro.mpi.fastp2p.net_replay).  None until the
@@ -105,7 +87,6 @@ class Network:
         """Move ``nbytes`` from node ``src`` to node ``dst``.
 
         Yields until the message has fully arrived at the receiver.
-        Returns the :class:`TransferRecord` for the transfer.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
@@ -156,8 +137,3 @@ class Network:
         self.stats.messages += 1
         self.stats.bytes += nbytes
         self.stats.busy_time += end - start
-        record = TransferRecord(src=src, dst=dst, nbytes=nbytes,
-                                start=start, end=end)
-        if self.trace:
-            self.stats.records.append(record)
-        return record

@@ -14,7 +14,7 @@ same cost *shape* they have on real Gigabit Ethernet.
 Usage sketch::
 
     env = Environment()
-    machine = system_x(env)
+    machine = Machine(env)
     world = World(env, machine)
 
     def main(comm):

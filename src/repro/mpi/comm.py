@@ -21,8 +21,9 @@ for MPICH2-era redistribution traffic and keeps SPMD code deadlock-free.
 
 Collectives are implemented from point-to-point with the textbook
 algorithms (binomial broadcast/reduce, ring allgather, pairwise
-exchange all-to-all, dissemination barrier) so their costs scale the way
-real implementations do.
+exchange all-to-all, dissemination barrier), each written once as an op
+table in :mod:`repro.mpi.fastcoll` and run here as real messages: the
+generator path, the independent *timing* reference of the fast path.
 
 Dynamic process management mirrors MPI-2: ``World.spawn_multiple``
 starts child ranks and returns an :class:`Intercomm`, whose ``merge()``
@@ -34,7 +35,6 @@ on.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional, Sequence
 
@@ -42,6 +42,14 @@ from repro.cluster.machine import Machine
 from repro.mpi.datatypes import HEADER_BYTES, Phantom, payload_nbytes
 from repro.mpi.errors import MPIError
 from repro.mpi.fastcoll import (
+    ACC,
+    COMBINE,
+    ITEMS,
+    RECV,
+    REPLACE,
+    SEND,
+    STORE,
+    TABLES,
     FastCollState,
     build_state as _build_fastcoll_state,
 )
@@ -175,14 +183,13 @@ class Comm:
         Point-to-point eligibility is sender-local: the receiver only
         ever sees a mailbox envelope, so *any* payload can ride the
         replay — the event chain it replaces carries no information
-        beyond the byte count.  Declined only when tracing needs real
-        transfers or the world switch is off.
+        beyond the byte count.  Declined only when the world switch is
+        off.
         """
         world = self._shared.world
-        network = world.machine.network
-        if not world.fastpath or network.trace:
+        if not world.fastpath:
             return None
-        return net_replay(network)
+        return net_replay(world.machine.network)
 
     def _fast_send_event(self, replay: NetReplay, payload: Any, dest: int,
                          tag: int, nbytes: int) -> Event:
@@ -297,90 +304,91 @@ class Comm:
         """The phantom fast path's eligibility record, or None.
 
         Structural conditions (distinct nodes, backplane headroom) are
-        cached on the shared state; the dynamic ones (the world switch,
-        network tracing) are re-checked per call so tests and ablations
-        can toggle them.  Payload-type gating is the caller's job.
+        cached on the shared state; the world switch is re-checked per
+        call so tests and ablations can toggle it.  Payload-type gating
+        is the caller's job.
         """
         shared = self._shared
-        world = shared.world
-        if not world.fastpath or world.machine.network.trace:
+        if not shared.world.fastpath:
             return None
         return shared.fast_state()
+
+    def _collective(self, kind: str, payload: Any, root: int = 0,
+                    op: Optional[ReduceOp] = None,
+                    fast_ok: bool = True) -> Generator:
+        """Run this rank's side of one collective; returns its result.
+
+        Joins the phantom fast path's rendezvous when ``fast_ok`` (the
+        caller's payload gate) and the world allow it; otherwise runs the
+        rank's program in the op table ``TABLES[kind]`` as real messages.
+        """
+        tag = self._next_coll_tag()
+        size = self.size
+        if fast_ok and size > 1:
+            fast = self._fastcoll()
+            if fast is not None:
+                result = yield fast.live_call(kind, tag, root=root,
+                                              op=op).join(self.rank, payload)
+                return result
+        table = TABLES[kind](size, root)
+        rank = self.rank
+        regs = [payload, None]
+        own = table.own[rank]
+        if own is not None:
+            index, part = own
+            items = regs[ITEMS] = [None] * size
+            items[index] = payload if part is None else payload[part]
+        req: Optional[Request] = None
+        for step in table.ops[rank]:
+            code = step[0]
+            if code == SEND:
+                _code, dest, blocking, frm, index = step
+                value = None if frm is None else regs[frm]
+                if index is not None:
+                    value = value[index]
+                if blocking:
+                    yield from self._send_raw(value, dest, tag)
+                else:
+                    req = self.isend(value, dest, tag)
+            elif code == RECV:
+                _code, source, into, index, _bump = step
+                got, status = yield from self.recv_status(source, tag)
+                if into == REPLACE:
+                    regs[ACC] = got
+                elif into == COMBINE:
+                    regs[ACC] = op(got, regs[ACC])
+                elif into == STORE:
+                    regs[ITEMS][status.source if index is None
+                                else index] = got
+            else:                                   # WAIT
+                yield from req.wait()
+        out = table.out[rank]
+        return None if out is None else regs[out]
 
     # -- collectives --------------------------------------------------------------
     def barrier(self) -> Generator:
         """Dissemination barrier: ceil(log2(P)) rounds of tiny messages."""
-        tag = self._next_coll_tag()
-        size = self.size
-        if size == 1:
+        if self.size == 1:
+            self._next_coll_tag()     # barrier_table(1) messages itself
             return
-        fast = self._fastcoll()
-        if fast is not None:
-            yield fast.live_call("barrier", tag).join(self.rank, None)
-            return
-        rounds = max(1, math.ceil(math.log2(size)))
-        for k in range(rounds):
-            dist = 1 << k
-            dest = (self.rank + dist) % size
-            source = (self.rank - dist) % size
-            req = self.isend(None, dest, tag)
-            yield from self.recv(source, tag)
-            yield from req.wait()
+        yield from self._collective("barrier", None)
 
     def bcast(self, payload: Any, root: int = 0) -> Generator:
         """Binomial-tree broadcast; every rank returns the payload."""
         self._check_rank(root, "root")
-        tag = self._next_coll_tag()
-        size = self.size
-        if size == 1:
-            return payload
-        relrank = (self.rank - root) % size
-        # Receive phase: find the bit where we hang off the tree.
-        mask = 1
-        while mask < size:
-            if relrank & mask:
-                source = ((relrank - mask) + root) % size
-                payload = yield from self.recv(source, tag)
-                break
-            mask <<= 1
-        # Send phase: forward to our subtree.
-        mask >>= 1
-        while mask > 0:
-            if relrank + mask < size:
-                dest = (relrank + mask + root) % size
-                yield from self._send_raw(payload, dest, tag)
-            mask >>= 1
-        return payload
+        result = yield from self._collective("bcast", payload, root,
+                                             fast_ok=False)
+        return result
 
     def reduce(self, payload: Any, op: ReduceOp = SUM,
                root: int = 0) -> Generator:
-        """Binomial-tree reduction; returns the result at root, None elsewhere."""
+        """Binomial-tree reduction; returns the result at root, None elsewhere.
+
+        Each rank combines a child's partial as ``op(received, running)``."""
         self._check_rank(root, "root")
-        tag = self._next_coll_tag()
-        size = self.size
-        if size > 1 and isinstance(payload, Phantom):
-            fast = self._fastcoll()
-            if fast is not None:
-                result = yield fast.live_call(
-                    "reduce", tag, root=root, op=op).join(self.rank,
-                                                          payload)
-                return result
-        result = payload
-        relrank = (self.rank - root) % size
-        mask = 1
-        while mask < size:
-            if relrank & mask == 0:
-                peer = relrank | mask
-                if peer < size:
-                    source = (peer + root) % size
-                    other = yield from self.recv(source, tag)
-                    result = op(other, result)
-            else:
-                dest = ((relrank & ~mask) + root) % size
-                yield from self._send_raw(result, dest, tag)
-                break
-            mask <<= 1
-        return result if self.rank == root else None
+        result = yield from self._collective(
+            "reduce", payload, root, op, isinstance(payload, Phantom))
+        return result
 
     def allreduce(self, payload: Any, op: ReduceOp = SUM) -> Generator:
         """Reduce to rank 0 then broadcast (cost shape of MPICH's default)."""
@@ -391,44 +399,15 @@ class Comm:
     def gather(self, payload: Any, root: int = 0) -> Generator:
         """Gather payloads; returns the rank-ordered list at root, else None."""
         self._check_rank(root, "root")
-        tag = self._next_coll_tag()
-        if self.size > 1 and isinstance(payload, Phantom):
-            fast = self._fastcoll()
-            if fast is not None:
-                result = yield fast.live_call(
-                    "gather", tag, root=root).join(self.rank, payload)
-                return result
-        if self.rank != root:
-            yield from self._send_raw(payload, root, tag)
-            return None
-        items: list[Any] = [None] * self.size
-        items[root] = payload
-        for _ in range(self.size - 1):
-            got, status = yield from self.recv_status(ANY_SOURCE, tag)
-            items[status.source] = got
-        return items
+        result = yield from self._collective(
+            "gather", payload, root, fast_ok=isinstance(payload, Phantom))
+        return result
 
     def allgather(self, payload: Any) -> Generator:
         """Ring allgather: P-1 steps, each shifting one block around."""
-        tag = self._next_coll_tag()
-        size = self.size
-        if size > 1 and isinstance(payload, Phantom):
-            fast = self._fastcoll()
-            if fast is not None:
-                result = yield fast.live_call(
-                    "allgather", tag).join(self.rank, payload)
-                return result
-        items: list[Any] = [None] * size
-        items[self.rank] = payload
-        right = (self.rank + 1) % size
-        left = (self.rank - 1) % size
-        for step in range(size - 1):
-            send_idx = (self.rank - step) % size
-            recv_idx = (self.rank - step - 1) % size
-            req = self.isend(items[send_idx], right, tag)
-            items[recv_idx] = yield from self.recv(left, tag)
-            yield from req.wait()
-        return items
+        result = yield from self._collective(
+            "allgather", payload, fast_ok=isinstance(payload, Phantom))
+        return result
 
     def scatter(self, payloads: Optional[Sequence[Any]],
                 root: int = 0) -> Generator:
@@ -459,23 +438,10 @@ class Comm:
         """
         if len(payloads) != self.size:
             raise MPIError("alltoall needs one payload per rank")
-        tag = self._next_coll_tag()
-        size = self.size
-        if size > 1 and all(isinstance(p, Phantom) for p in payloads):
-            fast = self._fastcoll()
-            if fast is not None:
-                result = yield fast.live_call(
-                    "alltoall", tag).join(self.rank, list(payloads))
-                return result
-        received: list[Any] = [None] * size
-        received[self.rank] = payloads[self.rank]
-        for step in range(1, size):
-            dest = (self.rank + step) % size
-            source = (self.rank - step) % size
-            req = self.isend(payloads[dest], dest, tag)
-            received[source] = yield from self.recv(source, tag)
-            yield from req.wait()
-        return received
+        result = yield from self._collective(
+            "alltoall", list(payloads),
+            fast_ok=all(isinstance(p, Phantom) for p in payloads))
+        return result
 
     # -- communicator management -----------------------------------------------
     def create_sub(self, ranks: Sequence[int]) -> Generator:

@@ -29,19 +29,19 @@ backplane flow-sharing — and persists NIC availability across calls via
 point-to-point traffic and each other's flows all see one consistent
 wire.  Communicators with shared nodes (``cpus_per_node > 1``) and
 machines with oversubscribable backplanes therefore ride the fast path
-too; only real payloads, traced networks and worlds with the fast path
-switched off (``World(fastpath=False)``) fall back to the generator path
-(trace records are produced by real transfers).
+too; only real payloads and worlds with the fast path switched off
+(``World(fastpath=False)``) fall back to the generator path.
 
 Op tables
 ---------
 Each algorithm is written once, as a cached :class:`CollTable` (see
 ``TABLES``): per rank, the ordered ops it runs and where each value
-comes from and goes.  :class:`CollSim` interprets it with a program
-counter per rank; the redistribution walk, the one-call SUMMA sweep and
-the LU pivot-round table read it too.  The event kernel's tie-order
-rules live on the ops.  The generator collectives in
-:mod:`repro.mpi.comm` stay the independent reference.
+comes from and goes; no other code writes a collective's pattern.
+:class:`CollSim` interprets it with a program counter per rank;
+``Comm._collective`` runs it as real messages (the generator path, the
+independent *timing* reference); the flat kernels, the redistribution
+walk, the one-call SUMMA sweep and the LU pivot-round table read it.
+The event kernel's tie-order rules live on the ops.
 
 On exact-backplane networks a send's completion may not be computable at
 registration (a flow's wire time depends on what is on the wire when it
@@ -64,7 +64,6 @@ walk read the broadcast's table instead.
 from __future__ import annotations
 
 import heapq
-import math
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -207,18 +206,22 @@ class CollTable(NamedTuple):
     """One algorithm on one communicator size (and root).  Per rank: the
     ordered ops it runs; None or ``(index, part)`` — its item list starts
     with its payload (``part`` None) or element ``part`` at ``index``;
-    the register it returns (None: nothing); its sends' destinations."""
+    the register it returns (None: nothing); its sends' destinations and
+    its receives' sources, in program order."""
 
     ops: tuple
     own: tuple
     out: tuple
     dests: tuple
+    srcs: tuple
 
 
 def _table(ops: list, own: list, out: list) -> CollTable:
+    def peers(code: int) -> tuple:
+        return tuple(tuple(op[1] for op in prog if op[0] == code)
+                     for prog in ops)
     return CollTable(tuple(map(tuple, ops)), tuple(own), tuple(out),
-                     tuple(tuple(op[1] for op in prog if op[0] == SEND)
-                           for prog in ops))
+                     peers(SEND), peers(RECV))
 
 
 def _exchange(dst: int, frm, index, src: int, into: int, store_at) -> list:
@@ -776,9 +779,11 @@ def detached_call(network, nodes: list[int], kind: str,
         if len({nic.bandwidth for nic in nics}) == 1:
             eng = [engines.get(node) or engines.setdefault(node, [0.0, 0.0])
                    for node in nodes]
+            table = TABLES[kind](len(nodes), root)
             if kind == "barrier":
-                return _barrier_kernel(network, nics, eng, times, stats)
-            return _bcast_kernel(network, nics, eng, times,
+                return _barrier_kernel(network, nics, eng, times, table,
+                                       stats)
+            return _bcast_kernel(network, nics, eng, times, table,
                                  payload_nbytes(payloads[root]), root, stats)
     return collsim_call(network, nodes, kind, times, payloads, root=root,
                         op=op, engines=engines, stats=stats)
@@ -833,13 +838,15 @@ def _hop_terms(network, nics, nbytes: int) -> tuple:
             wire * (1.0 + network.contention_penalty))
 
 
-def _book_hops(network, stats, nics, payload_nb, sent, received, busy):
-    """Mirror the counters ``Wire.send`` and ``CollSim`` keep per hop."""
+def _book_hops(network, stats, nics, payload_nb, table, busy):
+    """Mirror the counters ``Wire.send`` and ``CollSim`` keep per hop,
+    one per send and receive of ``table``."""
     nbytes = payload_nb + HEADER_BYTES
+    sent = list(map(len, table.dests))
     hops = sum(sent)
     stats.sends += hops
     stats.bytes_sent += hops * payload_nb
-    for nic, n_out, n_in in zip(nics, sent, received):
+    for nic, n_out, n_in in zip(nics, sent, map(len, table.srcs)):
         nic.bytes_sent += n_out * nbytes
         nic.bytes_received += n_in * nbytes
     network.stats.messages += hops
@@ -847,9 +854,9 @@ def _book_hops(network, stats, nics, payload_nb, sent, received, busy):
     network.stats.busy_time = busy
 
 
-def _bcast_kernel(network, nics, eng, times, payload_nb, root,
+def _bcast_kernel(network, nics, eng, times, table, payload_nb, root,
                   stats) -> list[float]:
-    """Binomial broadcast in one pass over relative ranks.
+    """Binomial broadcast (``table``) in one pass over relative ranks.
 
     Each tx engine is used only by its owner (sequential blocking
     forwards) and each rx engine by exactly one send (from the parent),
@@ -861,53 +868,45 @@ def _bcast_kernel(network, nics, eng, times, payload_nb, root,
     overhead, latency, wire, contended = _hop_terms(network, nics, nbytes)
     busy = network.stats.busy_time
     out = list(times)            # arrival, then deposit if later, then end
-    sent = [0] * n
-    for rel in range(n):
-        rank = (rel + root) % n
+    dests = table.dests
+    for rank in (*range(root, n), *range(root)):
         t = out[rank]
         tx = eng[rank]
-        # Children: rel + the powers of two below its lowest set bit.
-        mask = (rel & -rel if rel else 1 << (n - 1).bit_length()) >> 1
-        while mask:
-            if rel + mask < n:
-                child = (rel + mask + root) % n
-                rx = eng[child]
-                t_arrive = t_hold = t + overhead
-                if tx[0] > t_hold:
-                    t_hold = tx[0]
-                if rx[1] > t_hold:
-                    t_hold = rx[1]
-                tx[0] = rx[1] = end_hold = t_hold + (
-                    contended if t_hold > t_arrive else wire)
-                end = end_hold + latency
-                busy += end - t
-                t = end
-                if end > out[child]:
-                    out[child] = end
-                sent[rank] += 1
-            mask >>= 1
+        for child in dests[rank]:
+            rx = eng[child]
+            t_arrive = t_hold = t + overhead
+            if tx[0] > t_hold:
+                t_hold = tx[0]
+            if rx[1] > t_hold:
+                t_hold = rx[1]
+            tx[0] = rx[1] = end_hold = t_hold + (
+                contended if t_hold > t_arrive else wire)
+            end = end_hold + latency
+            busy += end - t
+            t = end
+            if end > out[child]:
+                out[child] = end
         out[rank] = t
     if stats is not None:
-        _book_hops(network, stats, nics, payload_nb, sent,
-                   [rank != root for rank in range(n)], busy)
+        _book_hops(network, stats, nics, payload_nb, table, busy)
     return out
 
 
-def _barrier_kernel(network, nics, eng, times, stats) -> list[float]:
-    """Dissemination barrier: by rounds where exact, else in heap order."""
-    n = len(nics)
-    rounds = math.ceil(math.log2(n))         # n >= 2, as in CollSim
+def _barrier_kernel(network, nics, eng, times, table,
+                    stats) -> list[float]:
+    """Dissemination barrier (``table``, whose round ``k`` is every
+    rank's ``k``-th send and receive): by rounds where exact, else in
+    heap order."""
     hop = _hop_terms(network, nics, HEADER_BYTES)
     busy = network.stats.busy_time
-    out, busy = (_barrier_by_rounds(n, rounds, eng, times, hop, busy)
-                 or _barrier_ordered(n, rounds, eng, times, hop, busy))
+    out, busy = (_barrier_by_rounds(table, eng, times, hop, busy)
+                 or _barrier_ordered(table, eng, times, hop, busy))
     if stats is not None:
-        _book_hops(network, stats, nics, 0, [rounds] * n, [rounds] * n,
-                   busy)
+        _book_hops(network, stats, nics, 0, table, busy)
     return out
 
 
-def _barrier_by_rounds(n, rounds, eng, times, hop, busy):
+def _barrier_by_rounds(table, eng, times, hop, busy):
     """``(completions, busy_time)`` computed round by round, or None.
 
     Every hop is costed as if its receive engine were free when the
@@ -917,12 +916,13 @@ def _barrier_by_rounds(n, rounds, eng, times, hop, busy):
     before its predecessor's release.  Nothing is committed until then.
     """
     overhead, latency, wire, contended = hop
+    dests, srcs = table.dests, table.srcs
+    n = len(times)
     start = list(times)
     tx_free = [row[0] for row in eng]
     end = [0.0] * n
     inbound: list[list] = [[] for _ in range(n)]
-    for k in range(rounds):
-        dist = 1 << k
+    for k in range(len(dests[0])):
         for rank in range(n):
             begin = start[rank]
             t_arrive = t_tx = begin + overhead
@@ -932,8 +932,9 @@ def _barrier_by_rounds(n, rounds, eng, times, hop, busy):
                 contended if t_tx > t_arrive else wire)
             end[rank] = done = end_hold + latency
             busy += done - begin
-            inbound[(rank + dist) % n].append((begin, t_tx, end_hold))
-        start = [max(end[rank], end[rank - dist]) for rank in range(n)]
+            inbound[dests[rank][k]].append((begin, t_tx, end_hold))
+        start = [max(end[rank], end[src[k]])
+                 for rank, src in enumerate(srcs)]
     rx_free = [row[1] for row in eng]
     for rank in range(n):
         last = None
@@ -947,13 +948,16 @@ def _barrier_by_rounds(n, rounds, eng, times, hop, busy):
     return start, busy
 
 
-def _barrier_ordered(n, rounds, eng, times, hop, busy):
+def _barrier_ordered(table, eng, times, hop, busy):
     """``(completions, busy_time)`` in :class:`CollSim`'s exact ``(start,
     cause, seq)`` heap order, for contended or tied receive engines: its
     barrier program line by line — arrival-ordered eager drains, the
     replay-event counter, the hop-class cause keys (see its heap comment).
     """
     overhead, latency, wire, contended = hop
+    dests = table.dests
+    n = len(times)
+    rounds = len(dests[0])
     t_cur = list(times)                      # ends as the completions
     stage = [0] * n
     send_end: list = [None] * n
@@ -971,7 +975,7 @@ def _barrier_ordered(n, rounds, eng, times, hop, busy):
         heapq.heappush(heap, (now, cause[entrant], seq, entrant))
         while heap and (arrived == n or heap[0][0] <= now):
             begin, _cause, _seq, rank = heapq.heappop(heap)
-            dst = (rank + (1 << stage[rank])) % n
+            dst = dests[rank][stage[rank]]
             tx, rx = eng[rank], eng[dst]
             t_arrive = t_hold = begin + overhead
             if tx[0] > t_hold:

@@ -60,12 +60,11 @@ from repro.mpi.comm import Comm
 from repro.mpi.datatypes import payload_nbytes
 from repro.mpi.errors import MPIError
 from repro.redist import walk
-from repro.redist.schedule import Message2D, Schedule2D
+from repro.redist.schedule import Schedule2D
 from repro.redist.tables import (
     build_rank_plans,
     cached_2d_traffic,
     cached_rank_plans,
-    message_nbytes,
     schedule_traffic,
 )
 
@@ -90,12 +89,6 @@ class RedistributionResult:
     messages: int = 0
     local_copies: int = 0
     steps: int = 0
-
-
-def _message_nbytes(desc: Descriptor, msg: Message2D) -> int:
-    """Payload bytes of an aggregated message (cached table lookup)."""
-    return message_nbytes(desc.m, desc.n, desc.mb, desc.nb,
-                          desc.itemsize, msg)
 
 
 def _schedule_traffic(schedule: Schedule2D, desc: Descriptor,

@@ -6,7 +6,6 @@ from repro.cluster import (
     Machine,
     MachineSpec,
     Node,
-    system_x,
 )
 from repro.simulate import Environment
 
@@ -141,21 +140,6 @@ def test_transfer_stats_accumulate():
     assert m.network.stats.bytes == 3000
 
 
-def test_transfer_trace_records():
-    env = Environment()
-    m = Machine(env, MachineSpec(num_nodes=2), trace_network=True)
-
-    def proc():
-        yield from m.network.transfer(0, 1, 1000)
-
-    env.process(proc())
-    env.run()
-    assert len(m.network.stats.records) == 1
-    rec = m.network.stats.records[0]
-    assert rec.src == 0 and rec.dst == 1 and rec.nbytes == 1000
-    assert rec.duration > 0
-
-
 def test_disk_write_read_times():
     env = Environment()
     m = Machine(env, MachineSpec(num_nodes=1, disk_write_bandwidth=50e6,
@@ -204,8 +188,9 @@ def test_machine_node_of_mapping():
 
 
 def test_system_x_preset():
+    """The default spec is the paper's 50-node System X partition."""
     env = Environment()
-    m = system_x(env)
+    m = Machine(env)
     assert m.total_processors == 50
     assert m.spec.flop_rate == pytest.approx(4.4e9)
 

@@ -1,16 +1,19 @@
 """The collective op tables (``repro.mpi.fastcoll``), checked directly.
 
-Every fast-path consumer — ``CollSim``, the redistribution walk's
+Everything that runs a collective — the generator collectives in
+``Comm``, ``CollSim``, the detached kernels, the redistribution walk's
 barrier and broadcast ops, the one-call SUMMA sweep and the LU
 pivot-round table — reads one table per algorithm, so a wrong table
 would be wrong everywhere at once.  These tests pin each table's
-matching, its send counts against the generator path, and the
-broadcast tree against the mask formula.
+matching, each table against the textbook loops of
+``tests/oracles/collectives.py``, and the sends the generator path
+makes against the same loops.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
+from oracles.collectives import ORACLES, bcast_oracle
 
 from repro.cluster import Machine, MachineSpec
 from repro.mpi import Phantom, SUM, World
@@ -104,24 +107,26 @@ def test_every_program_runs_to_its_end():
                                                              root)
 
 
-def bcast_oracle(rank, root, size):
-    """``Comm.bcast``'s mask loop: the parent and the children in send
-    order."""
-    relrank = (rank - root) % size
-    parent = None
-    mask = 1
-    while mask < size:
-        if relrank & mask:
-            parent = ((relrank - mask) + root) % size
-            break
-        mask <<= 1
-    children = []
-    mask >>= 1
-    while mask > 0:
-        if relrank + mask < size:
-            children.append((relrank + mask + root) % size)
-        mask >>= 1
-    return parent, children
+def as_oracle_step(op):
+    """A table op in the oracle's ``(op, peer, blocking, index)`` form."""
+    if op[0] == SEND:
+        return ("send", op[1], op[2], op[4])
+    if op[0] == RECV:
+        return ("recv", op[1], True, op[3])
+    return ("wait", None, True, None)
+
+
+def test_every_table_is_the_textbook_loop():
+    for kind, size, root in cases():
+        table = TABLES[kind](size, root)
+        got = [[as_oracle_step(op) for op in prog] for prog in table.ops]
+        assert got == ORACLES[kind](size, root), (kind, size, root)
+        assert table.dests == tuple(tuple(op[1] for op in prog
+                                          if op[0] == SEND)
+                                    for prog in table.ops)
+        assert table.srcs == tuple(tuple(op[1] for op in prog
+                                         if op[0] == RECV)
+                                   for prog in table.ops)
 
 
 def test_bcast_tree_is_the_mask_formula():
@@ -136,16 +141,17 @@ def test_bcast_tree_is_the_mask_formula():
 
 
 def generator_sends(kind, size, root):
-    """Per-rank sends the generator path makes for one collective."""
+    """Per rank, the destinations of the sends the generator path makes
+    for one collective, in order."""
     env = Environment()
     machine = Machine(env, MachineSpec(num_nodes=size + 1))
     world = World(env, machine, launch_overhead=0.0,
                   fastpath=False)
-    counts = Counter()
+    dests = defaultdict(list)
     raw = Comm._send_raw
 
-    def counted(comm, payload, dest, tag):
-        counts[comm.rank] += 1
+    def recorded(comm, payload, dest, tag):
+        dests[comm.rank].append(dest)
         return raw(comm, payload, dest, tag)
 
     def main(comm):
@@ -166,16 +172,19 @@ def generator_sends(kind, size, root):
 
     group = world.launch(main, processors=list(range(size)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Comm, "_send_raw", counted)
+        patch.setattr(Comm, "_send_raw", recorded)
         env.run()
-    assert sum(counts.values()) == group.comm_shared.stats.sends
-    return [counts[rank] for rank in range(size)]
+    assert sum(map(len, dests.values())) == group.comm_shared.stats.sends
+    return [dests[rank] for rank in range(size)]
 
 
 @pytest.mark.parametrize("kind", sorted(TABLES))
 @pytest.mark.parametrize("size", [2, 3, 5, 8, 13])
 def test_send_counts_match_the_generator_path(kind, size):
+    """The generator path runs every send of the textbook loop, to the
+    same destinations in the same order, and no other."""
     for root in ((0, size - 1) if kind in ROOTED else (0,)):
-        table = TABLES[kind](size, root)
-        assert [len(dests) for dests in table.dests] == \
-            generator_sends(kind, size, root), (kind, size, root)
+        loops = [[step[1] for step in prog if step[0] == "send"]
+                 for prog in ORACLES[kind](size, root)]
+        assert generator_sends(kind, size, root) == loops, (kind, size,
+                                                            root)

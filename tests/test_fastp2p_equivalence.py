@@ -262,13 +262,12 @@ def test_p2p_property_tight_backplane(nprocs, skew, nbytes):
                                 backplane_bandwidth=130e6))
 
 
-@pytest.mark.parametrize("fastpath, trace", [(False, False), (True, True)],
-                         ids=["switched-off", "traced"])
-def test_generator_path_never_touches_the_replay(fastpath, trace):
-    """Switched off or traced, collectives and point-to-point both step
-    aside, so no replayed flow shares the network with a transfer."""
+@pytest.mark.parametrize("fastpath", [False], ids=["switched-off"])
+def test_generator_path_never_touches_the_replay(fastpath):
+    """Switched off, collectives and point-to-point both step aside, so
+    no replayed flow shares the network with a transfer."""
     env = Environment()
-    machine = Machine(env, MachineSpec(num_nodes=4), trace_network=trace)
+    machine = Machine(env, MachineSpec(num_nodes=4))
     world = World(env, machine, launch_overhead=0.0, fastpath=fastpath)
 
     def main(comm):
@@ -284,20 +283,3 @@ def test_generator_path_never_touches_the_replay(fastpath, trace):
     assert machine.network._replay is None
     assert machine.network.stats.messages > 0
 
-
-def test_trace_declines_fast_path():
-    """Tracing needs real transfers; the fast path steps aside."""
-    env = Environment()
-    machine = Machine(env, MachineSpec(num_nodes=2), trace_network=True)
-    world = World(env, machine, launch_overhead=0.0)
-
-    def main(comm):
-        if comm.rank == 0:
-            yield from comm.send(Phantom(1000), dest=1)
-        else:
-            yield from comm.recv(source=0)
-
-    group = world.launch(main, processors=[0, 1])
-    assert group.view(0)._fastp2p() is None
-    env.run()
-    assert len(machine.network.stats.records) == 1

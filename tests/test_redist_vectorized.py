@@ -22,12 +22,12 @@ from repro.darray.blockcyclic import (
     cyclic_global_indices,
     local_to_global,
 )
-from repro.redist.redistribute import _message_nbytes
 from repro.redist.schedule import build_2d_schedule
 from repro.redist.tables import (
     blocks_extent,
     cached_2d_schedule,
     cached_2d_traffic,
+    message_nbytes,
 )
 
 GRID_DIM = st.integers(1, 4)
@@ -43,8 +43,10 @@ def _apply_both_ways(g, desc, old_grid, new_grid):
     schedule = build_2d_schedule(desc.row_blocks, desc.col_blocks,
                                  old_grid.shape, new_grid.shape)
     for msg in schedule.messages:
-        assert _message_nbytes(desc, msg) == _message_nbytes_loop(desc, msg)
-        if _message_nbytes(desc, msg) == 0:
+        nbytes = message_nbytes(desc.m, desc.n, desc.mb, desc.nb,
+                                desc.itemsize, msg)
+        assert nbytes == _message_nbytes_loop(desc, msg)
+        if nbytes == 0:
             continue
         sr = old_grid.rank_of(*msg.src)
         dr = new_grid.rank_of(*msg.dst)
