@@ -36,7 +36,6 @@ from repro.mpi.datatypes import HEADER_BYTES
 from repro.mpi.fastcoll import (
     bcast_table,
     detached_call,
-    p2p_time,
     reduce_table,
     replay_chain,
 )
@@ -250,8 +249,8 @@ def _pdgetrf_walk(machine, desc: Descriptor, nodes: list[int],
                             if width <= 0:
                                 continue
                             nbytes = width * itemsize
-                            cost += p2p_time(network, nodes[r], nodes[o],
-                                             nbytes)
+                            cost += network.transfer_time(
+                                nodes[r], nodes[o], nbytes + HEADER_BYTES)
                             col_stats[col].sends += 1
                             col_stats[col].bytes_sent += nbytes
                             net_stats.messages += 1

@@ -368,9 +368,6 @@ class Comm:
     # -- collectives --------------------------------------------------------------
     def barrier(self) -> Generator:
         """Dissemination barrier: ceil(log2(P)) rounds of tiny messages."""
-        if self.size == 1:
-            self._next_coll_tag()     # barrier_table(1) messages itself
-            return
         yield from self._collective("barrier", None)
 
     def bcast(self, payload: Any, root: int = 0) -> Generator:

@@ -20,17 +20,19 @@ The fast path must produce **identical simulated clocks, values and
 ``CommStats``/``NetworkStats`` counters** to the generator path it
 replaces (see ``docs/phantom.md`` and
 ``tests/test_fastcoll_equivalence.py``).  Live transfers are resolved by
-the shared network-level replay (:mod:`repro.mpi.fastp2p`), which models
-the full transfer cost chain — software overhead, per-NIC FIFO
-serialization with the endpoint contention penalty, wire time,
-propagation latency, the same-node shared-memory path, and exact
-backplane flow-sharing — and persists NIC availability across calls via
-``Nic.fp_free`` (``[tx_free, rx_free]``), so fast collectives, fast
-point-to-point traffic and each other's flows all see one consistent
-wire.  Communicators with shared nodes (``cpus_per_node > 1``) and
-machines with oversubscribable backplanes therefore ride the fast path
-too; only real payloads and worlds with the fast path switched off
-(``World(fastpath=False)``) fall back to the generator path.
+the shared network-level replay (:mod:`repro.mpi.fastp2p`), whose
+``NetReplay`` is the live :class:`CollSim` sender (:class:`Wire` is the
+detached one).  It models the full transfer cost chain — software
+overhead, per-NIC FIFO serialization with the endpoint contention
+penalty, wire time, propagation latency, the same-node shared-memory
+path, and exact backplane flow-sharing — and persists NIC availability
+across calls via ``Nic.fp_free`` (``[tx_free, rx_free]``), so fast
+collectives, fast point-to-point traffic and each other's flows all see
+one consistent wire.  Communicators with shared nodes
+(``cpus_per_node > 1``) and machines with oversubscribable backplanes
+therefore ride the fast path too; only real payloads and worlds with the
+fast path switched off (``World(fastpath=False)``) fall back to the
+generator path.
 
 Op tables
 ---------
@@ -64,6 +66,7 @@ walk read the broadcast's table instead.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -78,7 +81,7 @@ from repro.simulate import Environment, Event
 
 class Wire:
     """Arithmetic mirror of ``Network.transfer`` on a detached, quiet
-    network (the closed-form cost tables).
+    network (the closed-form cost tables), in node indices.
 
     ``engines`` maps a node index to a mutable ``[tx_free, rx_free]``
     pair of scratch state — a hypothetical replay, never live traffic;
@@ -86,96 +89,83 @@ class Wire:
     NetReplay` instead.  Callers must feed sends in nondecreasing start
     order — per-NIC FIFO then matches the event kernel's grant order.
     Same-node sends take the shared-memory path, so shared-node grids
-    replay exactly too.  It is a synchronous :class:`CollSim` sender.
+    replay exactly too.  Counters stay on the wire until :meth:`book`
+    writes them into the network.  It is a synchronous :class:`CollSim`
+    sender.
     """
 
-    __slots__ = ("network", "nodes", "nics", "engines", "record_stats")
+    __slots__ = ("network", "engines", "messages", "bytes", "busy",
+                 "sent", "received")
 
-    def __init__(self, network, nodes: list[int], *,
-                 engines: Optional[dict] = None, record_stats: bool = True):
+    #: Completions are synchronous: CollSim may cascade its sends.
+    paced = False
+
+    def __init__(self, network, engines: Optional[dict] = None):
         self.network = network
-        self.nodes = nodes                    # node index per comm rank
-        self.nics = [network.nodes[n].nic for n in nodes]
         self.engines = engines if engines is not None else {}
-        self.record_stats = record_stats
+        self.messages = 0
+        self.bytes = 0
+        self.busy = network.stats.busy_time
+        self.sent: defaultdict = defaultdict(int)    # wire bytes per node
+        self.received: defaultdict = defaultdict(int)
 
-    def send(self, src: int, dst: int, payload_nb: int, start: float,
-             on_complete: Callable[[float], None]) -> None:
-        """Cost one ``_send_raw`` and hand its completion (= mailbox
-        deposit) time to ``on_complete``, synchronously."""
+    def send_flow(self, src: int, dst: int, payload_nb: int, start: float,
+                  on_complete: Callable[[float], None]) -> None:
+        """Cost one ``_send_raw`` from node ``src`` to node ``dst`` and
+        hand its completion (= mailbox deposit) time to ``on_complete``,
+        synchronously."""
         net = self.network
-        nbytes = payload_nb + HEADER_BYTES
-        src_node = self.nodes[src]
-        dst_node = self.nodes[dst]
-        if src_node == dst_node:
+        if src == dst:
+            nbytes = payload_nb + HEADER_BYTES
             end = start + (net.memory_latency +
-                           nbytes / net.nodes[src_node].memory_bandwidth)
-            if self.record_stats:
-                net.stats.messages += 1
-                net.stats.bytes += nbytes
-                net.stats.busy_time += end - start
+                           nbytes / net.nodes[src].memory_bandwidth)
+            self.messages += 1
+            self.bytes += nbytes
+            self.busy += end - start
             on_complete(end)
             return
         t_arrive = start + net.software_overhead
-        src_eng = self.engines.setdefault(src_node, [0.0, 0.0])
-        dst_eng = self.engines.setdefault(dst_node, [0.0, 0.0])
-        t_tx = max(t_arrive, src_eng[0])
-        t_hold = max(t_tx, dst_eng[1])
-        bw = min(self.nics[src].bandwidth, self.nics[dst].bandwidth)
+        engines = self.engines
+        t_hold = max(t_arrive, engines.setdefault(src, [0.0, 0.0])[0],
+                     engines.setdefault(dst, [0.0, 0.0])[1])
+        on_complete(self.hop(src, dst, payload_nb, start, t_arrive, t_hold))
+
+    def hop(self, src: int, dst: int, payload_nb: int, start: float,
+            t_arrive: float, t_hold: float) -> float:
+        """Hold both nodes' engines from ``t_hold`` for the wire time
+        (contended when the hold starts late); count the flow; its
+        completion time."""
+        net = self.network
+        nodes = net.nodes
+        nbytes = payload_nb + HEADER_BYTES
+        # min(), spelled out: this is the redistribution walk's hot loop.
+        bw = nodes[src].nic.bandwidth
+        if nodes[dst].nic.bandwidth < bw:
+            bw = nodes[dst].nic.bandwidth
         wire = nbytes * (1.0 / bw + net.per_byte_overhead)
         if t_hold > t_arrive:
             wire *= 1.0 + net.contention_penalty
-        end_hold = t_hold + wire
-        src_eng[0] = end_hold
-        dst_eng[1] = end_hold
+        engines = self.engines
+        engines[src][0] = engines[dst][1] = end_hold = t_hold + wire
         end = end_hold + net.latency
-        if self.record_stats:
-            self.nics[src].bytes_sent += nbytes
-            self.nics[dst].bytes_received += nbytes
-            net.stats.messages += 1
-            net.stats.bytes += nbytes
-            net.stats.busy_time += end - start
-        on_complete(end)
+        self.messages += 1
+        self.bytes += nbytes
+        self.busy += end - start
+        self.sent[src] += nbytes
+        self.received[dst] += nbytes
+        return end
 
-
-class LiveSender:
-    """CollSim sender routing through the shared network replay.
-
-    Completions fire inline whenever the replay can prove the wire-start
-    sample safe (always, on non-oversubscribable backplanes) and are
-    deferred through the replay's pump otherwise.
-    """
-
-    __slots__ = ("replay", "nodes")
-
-    def __init__(self, replay, nodes: list[int]):
-        self.replay = replay
-        self.nodes = nodes
-
-    #: Live completions may always be deferred (the replay finalizes in
-    #: wire-start order): the collective must execute sends at their
-    #: start times, so same-instant sends from different completions
-    #: register in heap order — the order the kernel's causal chains
-    #: would produce.
-    paced = True
-
-    def send(self, src: int, dst: int, payload_nb: int, start: float,
-             on_complete: Callable[[float], None]) -> None:
-        self.replay.send_flow(self.nodes[src], self.nodes[dst],
-                              payload_nb, start, on_complete)
-
-    def defer(self, fn: Callable[[], None]) -> None:
-        """Deliver progress once the replay's current sweep is done, so
-        all completions of one simulated instant arrive as one batch."""
-        self.replay.after_sweep(fn)
-
-
-def p2p_time(network, src_node: int, dst_node: int,
-             payload_nb: int) -> float:
-    """Uncontended cross-node ``_send_raw`` duration (call to deposit):
-    the network's own uncontended transfer time plus the header."""
-    return network.transfer_time(src_node, dst_node,
-                                 payload_nb + HEADER_BYTES)
+    def book(self) -> None:
+        """Write the counters into the network and its NICs."""
+        nodes = self.network.nodes
+        for node, nbytes in self.sent.items():
+            nodes[node].nic.bytes_sent += nbytes
+        for node, nbytes in self.received.items():
+            nodes[node].nic.bytes_received += nbytes
+        stats = self.network.stats
+        stats.messages += self.messages
+        stats.bytes += self.bytes
+        stats.busy_time = self.busy
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +223,8 @@ def _exchange(dst: int, frm, index, src: int, into: int, store_at) -> list:
 
 @lru_cache(maxsize=64)
 def barrier_table(size: int, root: int = 0) -> CollTable:
-    """``Comm.barrier``: dissemination, ``ceil(log2(size))`` rounds
-    (one on a single rank, which then messages itself)."""
-    rounds = max(1, (size - 1).bit_length())
+    """``Comm.barrier``: dissemination, ``ceil(log2(size))`` rounds."""
+    rounds = (size - 1).bit_length()
     ops = [[op for k in range(rounds)
             for op in _exchange((rank + (1 << k)) % size, None, None,
                                 (rank - (1 << k)) % size, KEEP, None)]
@@ -375,12 +364,14 @@ class CollSim:
     own rule, in :meth:`_wire_done` and :meth:`_advance`.
     """
 
-    def __init__(self, kind: str, size: int, sender, *,
+    def __init__(self, kind: str, nodes: list[int], sender, *,
                  root: int = 0, op: Optional[Callable] = None,
                  stats=None):
+        size = len(nodes)
         self.table = (_table([()] * size, [None] * size, [None] * size)
                       if kind == PROGRAM else TABLES[kind](size, root))
         self.size = size
+        self.nodes = nodes                  # node index per member
         self.sender = sender
         self.op = op
         self.stats = stats                  # CommStats to mirror, or None
@@ -388,9 +379,9 @@ class CollSim:
         self._resolved: list = []
         self._draining = False
         #: Paced senders defer completions, so future-start sends must
-        #: wait for their start time (see LiveSender.paced); synchronous
+        #: wait for their start time (see NetReplay.paced); synchronous
         #: senders let drain cascade everything once all ranks are in.
-        self.paced = bool(getattr(sender, "paced", False))
+        self.paced = sender.paced
         #: A ``PROGRAM`` call drains one hop class per record of an
         #: instant (see :meth:`drain`).
         self.levels = kind == PROGRAM
@@ -459,14 +450,15 @@ class CollSim:
         self._draining = True
         try:
             force = not self.paced and self.n_arrived == self.size
+            nodes = self.nodes
             while self.heap and (force or self.heap[0][0] <= now):
                 if self.levels and self.heap[0][1][0] > level:
                     break
                 start, _cause, _seq, rank = heapq.heappop(self.heap)
                 dst, value, blocking, nbytes, stats = self.pend[rank]
-                self.sender.send(rank, dst, nbytes, start,
-                                 self._wire_done(rank, dst, value, blocking,
-                                                 nbytes, stats))
+                self.sender.send_flow(nodes[rank], nodes[dst], nbytes, start,
+                                      self._wire_done(rank, dst, value,
+                                                      blocking, nbytes, stats))
         finally:
             self._draining = False
 
@@ -505,7 +497,7 @@ class CollSim:
             if not blocking:
                 self._advance(rank)             # after the receiver
             if not self._draining and self.on_progress is not None:
-                self.sender.defer(self.on_progress)
+                self.sender.after_sweep(self.on_progress)
         return done
 
     def _advance(self, rank: int) -> None:
@@ -619,12 +611,10 @@ class FastCollState:
       drop only cross-flow backplane coupling (see docs/phantom.md).
     """
 
-    __slots__ = ("shared", "nodes", "exclusive", "quiet")
+    __slots__ = ("shared", "exclusive", "quiet")
 
-    def __init__(self, shared, nodes: list[int], exclusive: bool,
-                 quiet: bool):
+    def __init__(self, shared, exclusive: bool, quiet: bool):
         self.shared = shared
-        self.nodes = nodes
         self.exclusive = exclusive
         self.quiet = quiet
 
@@ -643,19 +633,19 @@ def build_state(shared) -> FastCollState:
     Always eligible: the shared network replay (repro.mpi.fastp2p)
     reproduces shared-node NIC queueing, the same-node memory path and
     backplane flow-sharing exactly, so no machine shape rules the fast
-    path out anymore.  The per-call conditions (switches, tracing,
-    payload types) are checked by the callers in :mod:`repro.mpi.comm`.
+    path out anymore.  The per-call conditions (the switch, payload
+    types) are checked by the callers in :mod:`repro.mpi.comm`.
     """
     machine = shared.world.machine
     spec = getattr(machine, "spec", None)
-    nodes = [machine.node_of(p) for p in shared.processors]
+    nodes = shared.nodes
     net = machine.network
     bw_max = max(machine.nodes[n].nic.bandwidth for n in nodes)
     exclusive = (spec is not None and spec.cpus_per_node == 1
                  and len(set(nodes)) == len(nodes))
     quiet = (exclusive
              and len(nodes) * bw_max <= net.backplane_bandwidth)
-    return FastCollState(shared, nodes, exclusive, quiet)
+    return FastCollState(shared, exclusive, quiet)
 
 
 class LiveCall:
@@ -674,10 +664,9 @@ class LiveCall:
         self.shared = shared
         self.tag = tag
         self.env: Environment = shared.world.env
-        sender = LiveSender(net_replay(shared.world.machine.network),
-                            state.nodes)
-        self.sim = CollSim(kind, shared.size, sender, root=root, op=op,
-                           stats=shared.stats)
+        self.sim = CollSim(kind, shared.nodes,
+                           net_replay(shared.world.machine.network),
+                           root=root, op=op, stats=shared.stats)
         self.sim.on_progress = self._on_progress
         self.events: dict[int, Event] = {}
         self._pump_at: Optional[float] = None
@@ -794,15 +783,16 @@ def collsim_call(network, nodes, kind, times, payloads, *, root=0, op=None,
     """:func:`detached_call` through :class:`CollSim` over a scratch
     :class:`Wire` — the general path, and the reference the kernels are
     tested against."""
-    wire = Wire(network, nodes, engines=engines,
-                record_stats=stats is not None)
-    sim = CollSim(kind, len(nodes), wire, root=root, op=op, stats=stats)
+    wire = Wire(network, engines)
+    sim = CollSim(kind, nodes, wire, root=root, op=op, stats=stats)
     out = list(times)
     # The last arrival's drain runs the heap dry (synchronous sender).
     for rank in sorted(range(len(nodes)), key=times.__getitem__):
         for member, when, _value, _cause in sim.arrive(rank, times[rank],
                                                        payloads[rank]):
             out[member] = when
+    if stats is not None:
+        wire.book()
     return out
 
 
@@ -826,8 +816,8 @@ def replay_chain(network, nodes: list[int],
     return times
 
 
-# The kernels evaluate, hop for hop, the float expressions of ``Wire.send``'s
-# cross-node branch on flat per-member lists (``eng[i]``: member ``i``'s
+# The kernels evaluate, hop for hop, the float expressions of ``Wire.hop``
+# on flat per-member lists (``eng[i]``: member ``i``'s
 # ``[tx_free, rx_free]`` row); only the visiting order of *independent*
 # hops differs, hence the association of the ``busy_time`` sum.
 
@@ -839,7 +829,7 @@ def _hop_terms(network, nics, nbytes: int) -> tuple:
 
 
 def _book_hops(network, stats, nics, payload_nb, table, busy):
-    """Mirror the counters ``Wire.send`` and ``CollSim`` keep per hop,
+    """Mirror the counters ``Wire.book`` and ``CollSim`` keep per hop,
     one per send and receive of ``table``."""
     nbytes = payload_nb + HEADER_BYTES
     sent = list(map(len, table.dests))

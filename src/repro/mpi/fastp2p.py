@@ -13,8 +13,9 @@ module computes it with plain arithmetic and delivers the result through
 one (usually shared) completion event per distinct completion time.
 
 :class:`NetReplay` is the *network-level* replay shared by this fast
-path and the collective fast path (:mod:`repro.mpi.fastcoll`): one
-instance per :class:`~repro.cluster.network.Network`, created lazily via
+path and the collective fast path (:mod:`repro.mpi.fastcoll`), whose
+live ``CollSim`` calls take it as their sender: one instance per
+:class:`~repro.cluster.network.Network`, created lazily via
 :func:`net_replay`.  Sharing one instance is what makes the replay exact
 across traffic classes — p2p flows and collective flows all see the
 same per-NIC engine occupancy (``Nic.fp_free``) and the same backplane
@@ -97,7 +98,13 @@ class _Flow:
 
 
 class NetReplay:
-    """Arithmetic mirror of ``Network.transfer`` for one network."""
+    """Arithmetic mirror of ``Network.transfer`` for one network, and
+    the live :class:`~repro.mpi.fastcoll.CollSim` sender."""
+
+    #: Completions may be deferred (they finalize in wire-start order), so
+    #: a collective runs each send at its start time: same-instant sends
+    #: then register in the order the kernel's causal chains produce.
+    paced = True
 
     def __init__(self, network):
         self.net = network

@@ -22,8 +22,7 @@ from typing import Callable, Generator, Optional
 
 from repro.mpi import fastcoll
 from repro.mpi.comm import _COLL_TAG_BASE
-from repro.mpi.datatypes import HEADER_BYTES
-from repro.mpi.fastcoll import CollSim, LiveCall
+from repro.mpi.fastcoll import CollSim, LiveCall, Wire
 from repro.mpi.fastp2p import net_replay
 from repro.simulate import Event
 from repro.simulate.engine import (
@@ -78,10 +77,8 @@ def _table_ops(table, payload_nb: int, name: str) -> tuple:
 
 @lru_cache(maxsize=64)
 def barrier_ops(size: int) -> tuple:
-    """Per rank, the live ``Comm.barrier`` as walk ops (none on one
-    rank, where it returns at once)."""
-    return ((),) if size == 1 else _table_ops(fastcoll.barrier_table(size),
-                                              0, "barrier")
+    """Per rank, the live ``Comm.barrier`` as walk ops."""
+    return _table_ops(fastcoll.barrier_table(size), 0, "barrier")
 
 
 @lru_cache(maxsize=64)
@@ -215,9 +212,10 @@ def _admit(comm) -> bool:
         return False
     machine = world.machine
     network = machine.network
-    bandwidth = network.nodes[fast.nodes[0]].nic.bandwidth
+    nodes = comm._shared.nodes
+    bandwidth = network.nodes[nodes[0]].nic.bandwidth
     if any(network.nodes[node].nic.bandwidth != bandwidth
-           for node in fast.nodes):
+           for node in nodes):
         return False
     replay = net_replay(network)
     if replay._unresolved:
@@ -364,30 +362,27 @@ def _resumes_now(env, replay) -> bool:
                for record in env.pending())
 
 
-class Walk:
-    """The flat loop over the members' live engine state (see module
-    docstring).  ``run`` computes; ``commit`` books the result into the
-    live network, so a declined walk leaves no trace."""
+class Walk(Wire):
+    """The flat loop over a scratch copy of the members' live engine
+    state (see module docstring), costing its hops on the inherited
+    :class:`~repro.mpi.fastcoll.Wire`.  ``run`` computes; ``commit``
+    books the result into the live network, so a declined walk leaves no
+    trace."""
+
+    #: CollSim pacing: drain sends only at their start times, as the
+    #: live collective's pump records do.
+    paced = True
 
     def __init__(self, comm):
         network = comm.world.machine.network
-        self.network = network
+        self.nodes = comm._shared.nodes
+        super().__init__(network, {
+            node: list(network.nodes[node].nic.fp_free)
+            for node in self.nodes})
         self.comm = comm
-        self.nics = [network.nodes[node].nic for node in comm._shared.nodes]
-        self.tx = [nic.fp_free[0] for nic in self.nics]
-        self.rx = [nic.fp_free[1] for nic in self.nics]
-        self.sent = [0] * len(self.nics)      # wire bytes per member
-        self.received = [0] * len(self.nics)
         self.end_holds: list[float] = []
-        self.flows = 0
-        self.wire_bytes = 0
         self.payload_bytes = 0
-        self.busy = network.stats.busy_time
         self.first_done = 0.0
-        self.overhead = network.software_overhead
-        self.latency = network.latency
-        self.rate = 1.0 / self.nics[0].bandwidth + network.per_byte_overhead
-        self.contended = 1.0 + network.contention_penalty
         #: Whether every hop so far found its engines free (the live
         #: replay then finalizes each at registration).
         self.quick = True
@@ -397,33 +392,13 @@ class Walk:
 
     def hop(self, src: int, dst: int, payload: int, start: float,
             t_arrive: float, t_hold: float) -> float:
-        """Hold the engines from ``t_hold``; book the flow; its end."""
-        nb = payload + HEADER_BYTES
-        wire = nb * self.rate
+        """``Wire.hop`` plus the walk's own bookkeeping."""
+        end = Wire.hop(self, src, dst, payload, start, t_arrive, t_hold)
         if t_hold > t_arrive:
-            wire *= self.contended
             self.quick = False
-        self.tx[src] = self.rx[dst] = end_hold = t_hold + wire
-        end = end_hold + self.latency
-        self.busy += end - start
-        self.end_holds.append(end_hold)
-        self.sent[src] += nb
-        self.received[dst] += nb
-        self.flows += 1
-        self.wire_bytes += nb
+        self.end_holds.append(self.engines[src][0])
         self.payload_bytes += payload
         return end
-
-    # CollSim sender interface (synchronous).
-    def send(self, src: int, dst: int, payload: int, start: float,
-             on_complete: Callable[[float], None]) -> None:
-        t_arrive = start + self.overhead
-        t_hold = max(t_arrive, self.tx[src], self.rx[dst])
-        on_complete(self.hop(src, dst, payload, start, t_arrive, t_hold))
-
-    #: CollSim pacing: drain sends only at their start times, as the
-    #: live collective's pump records do.
-    paced = True
 
     def entry(self, payload: int, t0: float,
               join_order: list) -> Optional[tuple]:
@@ -445,9 +420,7 @@ class Walk:
             self.context[a], self.context[b], self.table))
         if arrivals is None or not self.quick:
             return None
-        if size == 1:
-            return times, arrivals
-        sim = CollSim("barrier", size, self)
+        sim = CollSim("barrier", self.nodes, self)
         drains = []
         for rank in arrivals:
             while sim.heap and sim.heap[0][0] < times[rank]:
@@ -473,8 +446,9 @@ class Walk:
         """Per-rank completion times of ``programs`` (indexed by rank)
         started at ``starts``, or None when a grant tie cannot be
         ordered."""
-        overhead = self.overhead
-        tx, rx = self.tx, self.rx
+        overhead = self.network.software_overhead
+        nodes = self.nodes
+        rows = [self.engines[node] for node in nodes]
         n = len(programs)
         pc = [0] * n
         clock = list(starts)
@@ -509,7 +483,7 @@ class Walk:
                     step = 0
                 elif code == SEND:
                     t_arrive = t + overhead
-                    grant = tx[rank]
+                    grant = rows[rank][0]
                     if t_arrive >= grant:
                         grant = t_arrive
                     step += 1
@@ -578,12 +552,12 @@ class Walk:
             for fid in group:
                 flow = flows[fid]
                 src, key, payload, start, t_arrive = flow[:5]
-                t_hold = rx[dst]
+                t_hold = rows[dst][1]
                 if grant >= t_hold:
                     t_hold = grant
                 flow[7] = t_hold
-                flow[6] = end = self.hop(src, dst, payload, start,
-                                         t_arrive, t_hold)
+                flow[6] = end = self.hop(nodes[src], nodes[dst], payload,
+                                         start, t_arrive, t_hold)
                 mail[(dst, key)] = (end, payload, fid)
                 if waiting[dst] == key:
                     waiting[dst] = None
@@ -604,25 +578,18 @@ class Walk:
         of the ``collectives`` it walked on every rank's view."""
         network = self.network
         replay = net_replay(network)
-        for nic, tx, rx, out, inb in zip(self.nics, self.tx, self.rx,
-                                         self.sent, self.received):
-            nic.fp_free[0] = tx
-            nic.fp_free[1] = rx
-            nic.bytes_sent += out
-            nic.bytes_received += inb
+        for node, row in self.engines.items():
+            network.nodes[node].nic.fp_free[:] = row
+        self.book()
         # A later flow registers after the first completion fires and
         # samples only intervals still open then (the replay prunes the
         # rest lazily anyway).
         for end_hold in self.end_holds:
             if end_hold > self.first_done:
                 heapq.heappush(replay._act_fast, end_hold)
-        replay._seq += self.flows
-        stats = network.stats
-        stats.messages += self.flows
-        stats.bytes += self.wire_bytes
-        stats.busy_time = self.busy
+        replay._seq += self.messages
         comm_stats = self.comm.stats
-        comm_stats.sends += self.flows
+        comm_stats.sends += self.messages
         comm_stats.bytes_sent += self.payload_bytes
         comm_stats.collectives += len(views) * collectives
         for view in views:

@@ -35,9 +35,8 @@ def _exchange(dest, send_index, source, recv_index):
 
 def barrier(size, root=0):
     """Dissemination: round ``k`` sends to ``rank + 2**k`` and receives
-    from ``rank - 2**k``.  One round on a single rank, which then
-    messages itself (``Comm.barrier`` returns before running it)."""
-    rounds = max(1, math.ceil(math.log2(size)))
+    from ``rank - 2**k``."""
+    rounds = math.ceil(math.log2(size))
     programs = []
     for rank in range(size):
         prog = []

@@ -13,7 +13,7 @@ makes against the same loops.
 from collections import Counter, defaultdict
 
 import pytest
-from oracles.collectives import ORACLES, bcast_oracle
+from oracles.collectives import ORACLES
 
 from repro.cluster import Machine, MachineSpec
 from repro.mpi import Phantom, SUM, World
@@ -23,7 +23,6 @@ from repro.mpi.fastcoll import (
     RECV,
     SEND,
     TABLES,
-    bcast_table,
 )
 from repro.simulate import Environment
 
@@ -127,17 +126,6 @@ def test_every_table_is_the_textbook_loop():
         assert table.srcs == tuple(tuple(op[1] for op in prog
                                          if op[0] == RECV)
                                    for prog in table.ops)
-
-
-def test_bcast_tree_is_the_mask_formula():
-    for size in SIZES:
-        for root in range(size):
-            table = bcast_table(size, root)
-            for rank in range(size):
-                parent, children = bcast_oracle(rank, root, size)
-                recvs = [op[1] for op in table.ops[rank] if op[0] == RECV]
-                assert recvs == ([] if parent is None else [parent])
-                assert list(table.dests[rank]) == children
 
 
 def generator_sends(kind, size, root):
