@@ -27,11 +27,14 @@ def scaling_curve(spec: MachineSpec) -> dict[int, float]:
     out = {}
     for config in CONFIGS:
         app = make_application("lu", 12000, iterations=1)
-        # Generator path for every variant: the table was recorded on
-        # it, and the fast path still moves a few digits — the 5x5
-        # column through the detached walk's chain order
-        # (docs/phantom.md, "Overlapping detached collectives"), one
-        # ideal-network and one 48-processor entry (ROADMAP item 2).
+        # Generator collectives for every variant: their op tables run
+        # as real messages over the network replay.  The table was
+        # recorded with those messages on the event-chain transfer
+        # and is byte-identical over the replay; the collective fast
+        # path still moves a few digits — the 5x5 column through the
+        # detached walk's chain order (docs/phantom.md, "Overlapping
+        # detached collectives"), one ideal-network and one
+        # 48-processor entry (ROADMAP item 2).
         res = run_static(app, config, machine_spec=spec,
                          fastpath=False)
         out[config[0] * config[1]] = res.mean_iteration_time

@@ -46,8 +46,9 @@ def run_static(app: Application, config: tuple[int, int], *,
 
     Builds its own environment/machine unless given one.  ``processors``
     pins specific machine processors (defaults to ``0..p-1``).
-    ``fastpath=False`` runs every transfer and collective on the
-    generator path, the reference the fast paths must match
+    ``fastpath=False`` runs every collective on the generator path
+    (its op table as real messages over the network replay) and turns
+    off the closed forms built on the collective fast path
     (docs/phantom.md).
     """
     pr, pc = config

@@ -10,15 +10,21 @@ serialization — because that is exactly the level at which the paper's
 redistribution algorithm argues: its circulant schedules are *node
 contention free*, i.e. no two simultaneous messages share a sender or a
 receiver.
+
+:meth:`Network.transfer` is the one entry point for a message.  The
+arithmetic lives in the network replay (:mod:`repro.mpi.fastp2p`),
+which keeps each NIC's engine availability in ``Nic.fp_free`` and
+resolves a transfer with plain arithmetic; ``tests/oracles/p2p.py``
+keeps the same model as a chain of kernel events (resource grants and
+timeouts), the reference the replay is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
 
 from repro.cluster.node import Node
-from repro.simulate import Environment
+from repro.simulate import Environment, Event
 
 
 @dataclass
@@ -47,12 +53,12 @@ class Network:
         self.latency = latency
         self.memory_latency = memory_latency
         self.per_byte_overhead = per_byte_overhead
-        #: Endpoint-congestion model: a transfer that finds ``k`` other
-        #: transfers queued or active on the NICs it needs pays
-        #: ``(1 + penalty * k)`` times the wire time.  This stands in for
-        #: the throughput loss TCP-over-GigE suffers under fan-in (frame
-        #: interleaving, buffer pressure, retransmits) — the effect that
-        #: makes contention-free redistribution schedules worth computing.
+        #: Endpoint-congestion model: a transfer that has to wait for a
+        #: NIC engine it needs pays ``(1 + penalty)`` times the wire
+        #: time.  This stands in for the throughput loss TCP-over-GigE
+        #: suffers under fan-in (frame interleaving, buffer pressure,
+        #: retransmits) — the effect that makes contention-free
+        #: redistribution schedules worth computing.
         self.contention_penalty = contention_penalty
         #: Per-message CPU cost of the messaging stack (sender + receiver
         #: software path).  Charged once per transfer in addition to wire
@@ -65,12 +71,9 @@ class Network:
         #: processors eventually stops helping communication-heavy
         #: kernels on the paper's testbed.
         self.backplane_bandwidth = backplane_bandwidth
-        self._active_flows = 0
         self.stats = NetworkStats()
-        #: Lazily created arithmetic replay shared by the phantom fast
-        #: paths (see repro.mpi.fastp2p.net_replay).  None until the
-        #: first fast-path operation touches this network, so worlds
-        #: that never use the fast path run the pristine event path.
+        #: The network replay (repro.mpi.fastp2p.NetReplay) that times
+        #: every transfer; created with the first one.
         self._replay = None
 
     # ------------------------------------------------------------------
@@ -83,57 +86,22 @@ class Network:
         return (self.latency + self.software_overhead +
                 nbytes * (1.0 / bw + self.per_byte_overhead))
 
-    def transfer(self, src: int, dst: int, nbytes: int) -> Generator:
-        """Move ``nbytes`` from node ``src`` to node ``dst``.
+    def transfer(self, src: int, dst: int, nbytes: int) -> Event:
+        """Start moving ``nbytes`` from node ``src`` to node ``dst`` now.
 
-        Yields until the message has fully arrived at the receiver.
+        Returns the event that fires when the message has fully arrived
+        at the receiver.  The network replay books the transfer: NIC
+        engines, backplane share, counters.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        start = self.env.now
-        if src == dst:
-            node = self.nodes[src]
-            yield self.env.sleep(self.memory_latency +
-                                 nbytes / node.memory_bandwidth)
-        else:
-            src_nic = self.nodes[src].nic
-            dst_nic = self.nodes[dst].nic
-            bw = min(src_nic.bandwidth, dst_nic.bandwidth)
-            wire_time = nbytes * (1.0 / bw + self.per_byte_overhead)
-            # Acquire both engines; sender first (fixed order, and the two
-            # resources are distinct objects so there is no deadlock
-            # cycle: every transfer locks tx(src) then rx(dst) and a
-            # transfer holding rx never waits on a tx).
-            if self.software_overhead > 0:
-                yield self.env.sleep(self.software_overhead)
-            t_arrive = self.env.now
-            tx_req = src_nic.tx.request()
-            yield tx_req
-            rx_req = dst_nic.rx.request()
-            yield rx_req
-            # Endpoint congestion: a transfer that had to queue behind
-            # others pays degraded throughput once it gets the wire.
-            if self.env.now > t_arrive:
-                wire_time *= 1.0 + self.contention_penalty
-            # Switch-fabric oversubscription: active flows sharing the
-            # backplane degrade proportionally (sampled at start; exact
-            # processor-sharing would need continuous re-timing).
-            self._active_flows += 1
-            demand = self._active_flows * bw
-            if demand > self.backplane_bandwidth:
-                wire_time *= demand / self.backplane_bandwidth
-            try:
-                yield self.env.sleep(wire_time)
-            finally:
-                self._active_flows -= 1
-                src_nic.tx.release(tx_req)
-                dst_nic.rx.release(rx_req)
-            # Propagation latency after the wire is released: the NIC is
-            # free to start the next frame while the last one is in flight.
-            yield self.env.sleep(self.latency)
-            src_nic.bytes_sent += nbytes
-            dst_nic.bytes_received += nbytes
-        end = self.env.now
-        self.stats.messages += 1
-        self.stats.bytes += nbytes
-        self.stats.busy_time += end - start
+        replay = self._replay
+        if replay is None:
+            replay = self._open_replay()
+        return replay.send_event(src, dst, nbytes)
+
+    def _open_replay(self):
+        # repro.mpi imports this package, so the replay's class is bound
+        # when the network carries its first message, not at import.
+        from repro.mpi.fastp2p import net_replay
+        return net_replay(self)

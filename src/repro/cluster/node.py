@@ -1,8 +1,13 @@
-"""Compute node, NIC and disk models."""
+"""Compute node, NIC and disk models.
+
+A NIC's transmit and receive engines are two availability times
+(``Nic.fp_free``) that the network replay books; the shared disk is the
+one device here that serializes its users through a kernel
+:class:`~repro.simulate.Resource`.
+"""
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Generator, Optional
 
 from repro.simulate import Environment, Resource
@@ -11,12 +16,11 @@ from repro.simulate import Environment, Resource
 class Nic:
     """A network interface with independent transmit and receive engines.
 
-    Each engine is a capacity-1 :class:`Resource`: a NIC can drive one
-    outgoing and one incoming wire transfer at a time, which is how a
-    full-duplex Gigabit Ethernet port behaves.  Concurrent transfers
-    touching the same NIC therefore serialize — the physical effect that
-    makes naive redistribution schedules slow and contention-free
-    schedules worth computing.
+    A NIC drives one outgoing and one incoming wire transfer at a time,
+    which is how a full-duplex Gigabit Ethernet port behaves.  Concurrent
+    transfers touching the same NIC therefore serialize — the physical
+    effect that makes naive redistribution schedules slow and
+    contention-free schedules worth computing.
     """
 
     def __init__(self, env: Environment, bandwidth: float):
@@ -25,26 +29,13 @@ class Nic:
         self.env = env
         #: Sustained point-to-point bandwidth in bytes/second.
         self.bandwidth = bandwidth
-        #: Engine availability as seen by the phantom fast path
-        #: (``[tx_free, rx_free]`` simulated times).  Fast-path traffic
-        #: (point-to-point and collectives) does not hold the
-        #: :class:`Resource` engines; the shared network replay tracks
-        #: occupancy here so consecutive fast transfers see each
-        #: other's serialization (see ``repro.mpi.fastp2p``).
+        #: Engine availability, ``[tx_free, rx_free]`` simulated times:
+        #: when each engine ends its last booked transfer.  The network
+        #: replay (``repro.mpi.fastp2p``) serializes transfers on it.
         self.fp_free = [0.0, 0.0]
         #: Cumulative bytes moved, for utilization accounting.
         self.bytes_sent = 0
         self.bytes_received = 0
-
-    # The engines are built on first use: only event-path transfers
-    # (``Network.transfer``) hold them, and most machines never run one.
-    @cached_property
-    def tx(self) -> Resource:
-        return Resource(self.env, capacity=1)
-
-    @cached_property
-    def rx(self) -> Resource:
-        return Resource(self.env, capacity=1)
 
 
 class Node:

@@ -12,18 +12,24 @@ generator.  Communication calls are generators too, invoked with
         else:
             data = yield from comm.recv(source=0, tag=3)
 
-Point-to-point semantics: a send performs the wire transfer (occupying
-the sender's tx and receiver's rx NIC engines — contention is real) and
-then deposits an envelope into the receiver's mailbox; a receive blocks
-until a matching envelope exists.  Sends therefore never block on an
-unposted receive (eager/buffered semantics), which is the common regime
-for MPICH2-era redistribution traffic and keeps SPMD code deadlock-free.
+Point-to-point semantics: a send registers its wire transfer with
+``Network.transfer`` (occupying the sender's tx and receiver's rx NIC
+engines — contention is real) and the envelope is deposited into the
+receiver's mailbox when the transfer's completion event fires; a
+receive blocks until a matching envelope exists.  Sends therefore never
+block on an unposted receive (eager/buffered semantics), which is the
+common regime for MPICH2-era redistribution traffic and keeps SPMD code
+deadlock-free.  There is one send path: ``send``, ``isend`` and
+``irecv`` wait on that completion event or the mailbox get directly,
+with no driver process.
 
 Collectives are implemented from point-to-point with the textbook
 algorithms (binomial broadcast/reduce, ring allgather, pairwise
 exchange all-to-all, dissemination barrier), each written once as an op
-table in :mod:`repro.mpi.fastcoll` and run here as real messages: the
-generator path, the independent *timing* reference of the fast path.
+table in :mod:`repro.mpi.fastcoll`.  Phantom collectives join a live
+``CollSim`` call (the fast path); otherwise, and with the world switch
+off, ``_collective`` runs the table as real messages — the generator
+path.
 
 Dynamic process management mirrors MPI-2: ``World.spawn_multiple``
 starts child ranks and returns an :class:`Intercomm`, whose ``merge()``
@@ -53,7 +59,6 @@ from repro.mpi.fastcoll import (
     FastCollState,
     build_state as _build_fastcoll_state,
 )
-from repro.mpi.fastp2p import NetReplay, net_replay
 from repro.mpi.ops import ReduceOp, SUM
 from repro.mpi.request import Request
 from repro.mpi.status import Status
@@ -67,6 +72,14 @@ ANY_TAG = -1
 _COLL_TAG_BASE = 1 << 24
 
 _comm_ids = itertools.count()
+
+
+def _matcher(source: int, tag: int) -> Callable[["Envelope"], bool]:
+    """Mailbox filter of a receive from ``source`` with ``tag``."""
+    def matches(envelope: Envelope) -> bool:
+        return ((source == ANY_SOURCE or envelope.source == source) and
+                (tag == ANY_TAG or envelope.tag == tag))
+    return matches
 
 
 @dataclass(frozen=True)
@@ -103,8 +116,9 @@ class _CommShared:
         self.mailboxes = [Store(world.env) for _ in processors]
         self.id = next(_comm_ids)
         self.stats = CommStats()
-        #: Node index per rank (hot on the p2p fast path).
+        #: Node index per rank and the network (hot on the send path).
         self.nodes = [world.machine.node_of(p) for p in self.processors]
+        self.network = world.machine.network
         #: Structural fast-path eligibility (lazy; see repro.mpi.fastcoll).
         self._fastcoll_state: Any = _FASTCOLL_UNSET
         #: In-flight fast-path rendezvous, keyed by collective tag.
@@ -171,35 +185,25 @@ class Comm:
 
     # -- point-to-point -------------------------------------------------------
     def send(self, payload: Any, dest: int, tag: int = 0) -> Generator:
-        """Blocking (buffered) send: returns once the wire transfer is done."""
+        """Blocking (buffered) send: returns once the message is in the
+        receiver's mailbox."""
         self._check_rank(dest, "destination")
         if tag < 0:
             raise MPIError("application tags must be non-negative")
         yield from self._send_raw(payload, dest, tag)
 
-    def _fastp2p(self) -> Optional[NetReplay]:
-        """The point-to-point fast path's network replay, or None.
-
-        Point-to-point eligibility is sender-local: the receiver only
-        ever sees a mailbox envelope, so *any* payload can ride the
-        replay — the event chain it replaces carries no information
-        beyond the byte count.  Declined only when the world switch is
-        off.
-        """
-        world = self._shared.world
-        if not world.fastpath:
-            return None
-        return net_replay(world.machine.network)
-
-    def _fast_send_event(self, replay: NetReplay, payload: Any, dest: int,
-                         tag: int, nbytes: int) -> Event:
-        """Register one fast-path send; the returned event fires at the
+    def _send_event(self, payload: Any, dest: int, tag: int) -> Event:
+        """Count and register one send; the returned event fires at the
         deposit time with the envelope already in the mailbox (the
         deposit callback precedes any waiter's resume — the intra-instant
         ordering the equivalence contract relies on)."""
         shared = self._shared
+        nbytes = payload_nbytes(payload)
+        shared.stats.sends += 1
+        shared.stats.bytes_sent += nbytes
         nodes = shared.nodes
-        ev = replay.send_event(nodes[self.rank], nodes[dest], nbytes)
+        ev = shared.network.transfer(nodes[self.rank], nodes[dest],
+                                     nbytes + HEADER_BYTES)
         store = shared.mailboxes[dest]
         envelope = Envelope(source=self.rank, tag=tag, payload=payload,
                             nbytes=nbytes)
@@ -208,34 +212,12 @@ class Comm:
         return ev
 
     def _send_raw(self, payload: Any, dest: int, tag: int) -> Generator:
-        nbytes = payload_nbytes(payload)
-        self._shared.stats.sends += 1
-        self._shared.stats.bytes_sent += nbytes
-        replay = self._fastp2p()
-        if replay is not None:
-            yield self._fast_send_event(replay, payload, dest, tag, nbytes)
-            return
-        src_node = self.node_of(self.rank)
-        dst_node = self.node_of(dest)
-        yield from self.world.machine.network.transfer(
-            src_node, dst_node, nbytes + HEADER_BYTES)
-        yield self._shared.mailboxes[dest].put(
-            Envelope(source=self.rank, tag=tag, payload=payload,
-                     nbytes=nbytes))
+        yield self._send_event(payload, dest, tag)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; returns a :class:`Request`."""
         self._check_rank(dest, "destination")
-        replay = self._fastp2p()
-        if replay is not None:
-            nbytes = payload_nbytes(payload)
-            self._shared.stats.sends += 1
-            self._shared.stats.bytes_sent += nbytes
-            ev = self._fast_send_event(replay, payload, dest, tag, nbytes)
-            return Request(self.env, ev)
-        proc = self.env.process(self._send_raw(payload, dest, tag),
-                                name=f"isend:{self.rank}->{dest}")
-        return Request(self.env, proc)
+        return Request(self.env, self._send_event(payload, dest, tag))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Blocking receive; returns the payload."""
@@ -247,12 +229,8 @@ class Comm:
         """Blocking receive; returns ``(payload, Status)``."""
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-
-        def matches(envelope: Envelope) -> bool:
-            return ((source == ANY_SOURCE or envelope.source == source) and
-                    (tag == ANY_TAG or envelope.tag == tag))
-
-        envelope = yield self._shared.mailboxes[self.rank].get(matches)
+        envelope = yield self._shared.mailboxes[self.rank].get(
+            _matcher(source, tag))
         status = Status(source=envelope.source, tag=envelope.tag,
                         nbytes=envelope.nbytes)
         return envelope.payload, status
@@ -261,21 +239,12 @@ class Comm:
         """Nonblocking receive; ``wait()`` returns the payload."""
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        if self._fastp2p() is not None:
-            # No driver process: the filtered mailbox get *is* the
-            # operation; it fires with the matching envelope at deposit
-            # time, exactly when the generator path's recv would return.
-            def matches(envelope: Envelope) -> bool:
-                return ((source == ANY_SOURCE or
-                         envelope.source == source) and
-                        (tag == ANY_TAG or envelope.tag == tag))
-
-            get_ev = self._shared.mailboxes[self.rank].get(matches)
-            return Request(self.env, get_ev,
-                           transform=lambda envelope: envelope.payload)
-        proc = self.env.process(self.recv(source, tag),
-                                name=f"irecv:{self.rank}")
-        return Request(self.env, proc)
+        # No driver process: the filtered mailbox get *is* the
+        # operation; it fires with the matching envelope at deposit time,
+        # exactly when a blocking recv would return.
+        get_ev = self._shared.mailboxes[self.rank].get(_matcher(source, tag))
+        return Request(self.env, get_ev,
+                       transform=lambda envelope: envelope.payload)
 
     def sendrecv(self, payload: Any, dest: int, source: int,
                  send_tag: int = 0, recv_tag: int = ANY_TAG) -> Generator:
@@ -518,10 +487,11 @@ class World:
         self.launch_overhead = launch_overhead
         #: Cost of MPI_Comm_spawn_multiple (process creation + connect).
         self.spawn_overhead = spawn_overhead
-        #: Switch for the phantom fast paths (repro.mpi.fastp2p and
-        #: repro.mpi.fastcoll).  Off, every transfer and collective runs
-        #: on the generator path — the reference the equivalence tests
-        #: compare against.  Must not change while traffic is in flight.
+        #: Switch for the collective fast path (repro.mpi.fastcoll) and
+        #: the closed forms built on it (walks, replayed iterations).
+        #: Off, collectives run their op tables as real messages; every
+        #: message rides the network replay either way.  Must not change
+        #: while traffic is in flight.
         self.fastpath = fastpath
 
     def launch(self, main: Callable[..., Generator],

@@ -3,16 +3,14 @@ algorithms, delivered through batched completion events.
 
 Why
 ---
-The collectives in :mod:`repro.mpi.comm` are pure Python generators: a
-P-rank broadcast schedules O(P) transfers, each of which costs ~10 heap
-events (process start, software-overhead timeout, two NIC resource
-grants, wire timeout, latency timeout, mailbox put/get, request wait).
-For phantom payloads nothing in that machinery carries information — the
-payload is a byte count and the algorithms route it deterministically —
-so the completion *times* of every rank can be computed with plain
-arithmetic and delivered through one packed
-:class:`~repro.simulate.engine.Batch` record per distinct completion
-time.
+The collectives in :mod:`repro.mpi.comm` run their op tables as real
+messages: a P-rank collective is O(P) sends, each one resume of every
+rank generator involved, a replayed transfer and a mailbox get.  For
+phantom payloads none of that carries information — the payload is a
+byte count and the algorithms route it deterministically — so the
+completion *times* of every rank can be computed with plain arithmetic
+and delivered through one packed :class:`~repro.simulate.engine.Batch`
+record per distinct completion time.
 
 Equivalence contract
 --------------------
@@ -31,8 +29,8 @@ collectives, fast point-to-point traffic and each other's flows all see
 one consistent wire.  Communicators with shared nodes
 (``cpus_per_node > 1``) and machines with oversubscribable backplanes
 therefore ride the fast path too; only real payloads and worlds with the
-fast path switched off (``World(fastpath=False)``) fall back to the
-generator path.
+fast path switched off (``World(fastpath=False)``) run the generator
+path, whose messages take the same replay through ``Network.transfer``.
 
 Op tables
 ---------
@@ -41,7 +39,8 @@ Each algorithm is written once, as a cached :class:`CollTable` (see
 comes from and goes; no other code writes a collective's pattern.
 :class:`CollSim` interprets it with a program counter per rank;
 ``Comm._collective`` runs it as real messages (the generator path, the
-independent *timing* reference); the flat kernels, the redistribution
+reference the equivalence tests time over ``tests/oracles/p2p.py``'s
+event chain); the flat kernels, the redistribution
 walk, the one-call SUMMA sweep and the LU pivot-round table read it.
 The event kernel's tie-order rules live on the ops.
 
@@ -80,8 +79,8 @@ from repro.simulate import Environment, Event
 # ---------------------------------------------------------------------------
 
 class Wire:
-    """Arithmetic mirror of ``Network.transfer`` on a detached, quiet
-    network (the closed-form cost tables), in node indices.
+    """The network replay's transfer cost on a detached, quiet network
+    (the closed-form cost tables), in node indices.
 
     ``engines`` maps a node index to a mutable ``[tx_free, rx_free]``
     pair of scratch state — a hypothetical replay, never live traffic;

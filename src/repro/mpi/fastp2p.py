@@ -1,60 +1,38 @@
-"""Phantom point-to-point fast path: a network-level transfer replay.
+"""The network replay: every transfer's timing, as arithmetic.
 
-Why
----
-After PR 2's collective short-circuit, point-to-point traffic was the
-remaining event-machinery hot spot: every ``Comm._send_raw`` walks the
-full ``Network.transfer`` chain — software-overhead timeout, two NIC
-resource grants, wire timeout, latency timeout, mailbox put — roughly
-eight heap events per message.  None of that machinery carries
-information: the transfer's completion time is a deterministic function
-of its size, the NIC engine availability, and the backplane load.  This
-module computes it with plain arithmetic and delivers the result through
-one (usually shared) completion event per distinct completion time.
+:class:`NetReplay` is the one model of NIC and backplane occupancy on a
+live network.  ``Network.transfer`` registers every point-to-point
+message on it and gets back the completion event that ``Comm``
+attaches the mailbox deposit to; the live :class:`~repro.mpi.fastcoll.
+CollSim` calls take it as their sender.  One instance per
+:class:`~repro.cluster.network.Network`, created with the first
+transfer (:func:`net_replay`), so point-to-point and collective flows
+all see the same per-NIC engine occupancy (``Nic.fp_free``) and the
+same backplane interval log.
 
-:class:`NetReplay` is the *network-level* replay shared by this fast
-path and the collective fast path (:mod:`repro.mpi.fastcoll`), whose
-live ``CollSim`` calls take it as their sender: one instance per
-:class:`~repro.cluster.network.Network`, created lazily via
-:func:`net_replay`.  Sharing one instance is what makes the replay exact
-across traffic classes — p2p flows and collective flows all see the
-same per-NIC engine occupancy (``Nic.fp_free``) and the same backplane
-interval log.  Generator-path transfers never share a network with it:
-one world switch (``World.fastpath``) covers both fast paths, so a
-network is either traced or switched off (every transfer on the
-generator path) or replayed whole.
-
-Every flow passes through a deferred resolution machine that mirrors
-the kernel's resource semantics: tx engines grant in request
-(``t_arrive``) order, rx engines grant in *tx-grant* order (the kernel
-requests rx only after tx is held — a tx-queued flow therefore loses
-the rx race to a later-issued tx-free flow), and flows finalize in
-global wire-start order so the backplane sample at each wire start sees
-exactly the set of flows the event kernel would count
-(``Network.transfer`` samples ``_active_flows`` once, at wire start).
-Finalization never runs ahead of what is provably safe — the sweep
-bound ``env.now + software_overhead`` (no future registration can reach
-its wire before that) — and a single pump event wakes the machine when
-the next wire start lies beyond the bound.  The common case (a
-send whose engines are idle, nothing else pending) finalizes inline at
-registration with no queues touched.  Only where the backplane can
-actually be oversubscribed (``num_nodes × max NIC bandwidth >
-backplane_bandwidth``) does the backplane sample change anything — on
-headroom networks the demand can never exceed the backplane, so the
-same machinery is trivially exact.
+The model is a chain of resource grants computed with plain
+arithmetic: tx engines grant in request (``t_arrive``) order, rx
+engines grant in *tx-grant* order (rx is requested only once tx is
+held — a tx-queued flow therefore loses the rx race to a later-issued
+tx-free flow), and flows finalize in global wire-start order so the
+backplane sample at each wire start counts exactly the flows on the
+wire.  Finalization never runs ahead of what is provably safe — the
+sweep bound ``env.now + software_overhead`` (no future registration can
+reach its wire before that) — and a single pump record wakes the
+machine when the next wire start lies beyond the bound.  The common
+case (a send whose engines are idle, nothing else pending) finalizes
+inline at registration with no queues touched, and simultaneous
+completions share one packed ``Batch`` record.
 
 Equivalence contract
 --------------------
-Identical simulated completion times, payload values and
-``CommStats``/``NetworkStats``/NIC counters to the generator path (see
-``docs/phantom.md`` and ``tests/test_fastp2p_equivalence.py``).  The
-replay mirrors ``Network.transfer``'s arithmetic operation-for-operation
-(same float expressions, same sampling instants), including the
-same-node shared-memory path, so shared-node machines
-(``cpus_per_node > 1``) and tight backplanes are handled exactly rather
-than declined.  The only undefined corner is the event kernel's
-tie-breaking of *bit-identical* simultaneous requests, which is an
-artifact of event sequence numbers, not physics (documented in
+Identical simulated completion times and ``NetworkStats``/NIC counters
+to the same model written as kernel events — ``Resource`` engines and
+timeouts, kept in ``tests/oracles/p2p.py`` (``docs/phantom.md``,
+``tests/test_fastp2p_equivalence.py``), including the same-node
+shared-memory path and tight backplanes.  The only undefined corner is
+the tie-breaking of *bit-identical* simultaneous requests, an artifact
+of event sequence numbers, not physics (documented in
 ``docs/phantom.md``).
 """
 
@@ -98,8 +76,8 @@ class _Flow:
 
 
 class NetReplay:
-    """Arithmetic mirror of ``Network.transfer`` for one network, and
-    the live :class:`~repro.mpi.fastcoll.CollSim` sender."""
+    """The transfer timing of one network, and the live
+    :class:`~repro.mpi.fastcoll.CollSim` sender."""
 
     #: Completions may be deferred (they finalize in wire-start order), so
     #: a collective runs each send at its start time: same-instant sends
@@ -129,27 +107,30 @@ class NetReplay:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def send_event(self, src: int, dst: int, payload_nb: int) -> Event:
-        """Register one transfer starting now; returns the event firing
-        at its completion (mailbox-deposit) time.
-
-        The event is guaranteed to fire exactly once, at the same
-        simulated instant the generator path's transfer would return.
-        """
+    def send_event(self, src: int, dst: int, nbytes: int) -> Event:
+        """Register one transfer of ``nbytes`` wire bytes starting now
+        (``Network.transfer``); returns the event firing at its
+        completion time, exactly once."""
         ev = Event(self.env)
-        self.send_flow(src, dst, payload_nb, self.env.now,
+        self._register(src, dst, nbytes, self.env.now,
                        lambda end: self._group_member(ev, end))
         return ev
 
     def send_flow(self, src: int, dst: int, payload_nb: int, start: float,
                   on_complete: Callable[[float], None]) -> None:
+        """Register one message of ``payload_nb`` payload bytes (the
+        :class:`~repro.mpi.fastcoll.CollSim` sender interface)."""
+        self._register(src, dst, payload_nb + HEADER_BYTES, start,
+                       on_complete)
+
+    def _register(self, src: int, dst: int, nbytes: int, start: float,
+                  on_complete: Callable[[float], None]) -> None:
         """Register one transfer; ``on_complete(end)`` fires when its
         completion time is known (inline whenever provably safe)."""
         net = self.net
-        nbytes = payload_nb + HEADER_BYTES
         if src == dst:
             # Shared-memory path: no NIC engines, no backplane, no
-            # software overhead — mirrors Network.transfer exactly.
+            # software overhead.
             node = net.nodes[src]
             end = start + (net.memory_latency +
                            nbytes / node.memory_bandwidth)
@@ -261,8 +242,8 @@ class NetReplay:
         wire = flow.nb * (1.0 / flow.bw + net.per_byte_overhead)
         if t_hold > flow.t_arrive:
             wire *= 1.0 + net.contention_penalty
-        # Backplane sample at wire start, exactly as Network.transfer:
-        # the flow counts itself on top of everything already on the wire.
+        # Backplane sample at wire start: the flow counts itself on top
+        # of everything already on the wire.
         demand = (len(act_fast) + 1) * flow.bw
         if demand > net.backplane_bandwidth:
             wire *= demand / net.backplane_bandwidth

@@ -4,18 +4,18 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.simulate import Environment, Event, Process
+from repro.simulate import Environment, Event
 
 
 class Request:
     """Handle to an in-flight nonblocking operation.
 
-    Wraps either the simulation process performing the transfer or — on
-    the phantom point-to-point fast path, where no process is spawned —
-    the completion event itself.  ``wait`` is a generator
-    (``yield from req.wait()``); ``test`` polls.  ``transform`` maps the
-    completion value to the caller-visible result (the fast ``irecv``
-    completes with the matched envelope and returns its payload).
+    Wraps the operation's completion event: a send's transfer event or
+    a receive's mailbox get (no driver process).  ``wait`` is a
+    generator (``yield from req.wait()``); ``test`` polls.
+    ``transform`` maps the completion value to the caller-visible result
+    (``irecv`` completes with the matched envelope and returns its
+    payload).
     """
 
     def __init__(self, env: Environment, op: Event,
@@ -42,10 +42,7 @@ class Request:
 
     @property
     def done(self) -> bool:
-        op = self._op
-        if isinstance(op, Process):
-            return not op.is_alive
-        return op.processed
+        return self._op.processed
 
 
 def wait_all(requests: list[Request]) -> Generator:

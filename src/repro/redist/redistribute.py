@@ -41,7 +41,7 @@ form — from the entry when all ranks enter together and every
 broadcast and barrier hop finds its engines free, else after the live
 broadcast and entry barrier — and delivers the results in one batch.  Otherwise (other jobs, framework
 records, tight backplanes, the naive ablation schedule) the live driver
-below runs: messages ride the point-to-point fast path
+below runs: messages ride the network replay
 (:mod:`repro.mpi.fastp2p`), a step being the cached per-rank plan walk
 plus pure clock arithmetic.  Both paths give identical clocks and
 counters.

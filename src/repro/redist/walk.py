@@ -204,7 +204,7 @@ def _admit(comm) -> bool:
     """Gate conditions (i)-(iii) (docs/phantom.md, "Redistribution
     walk"); the callers check (iv), the schedule."""
     fast = comm._fastcoll()
-    if fast is None or not fast.quiet or comm._fastp2p() is None:
+    if fast is None or not fast.quiet:
         return False
     world = comm.world
     env = world.env

@@ -12,7 +12,10 @@ paste into ``@reproduce_failure``.  CI's fuzz step runs::
         --hypothesis-show-statistics
 """
 
+import pytest
 from hypothesis import settings
+
+from oracles import p2p
 
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("fuzz", derandomize=False, print_blob=True)
@@ -33,3 +36,12 @@ def pytest_collection_modifyitems(config, items):
         if chosen is not None:
             test._hypothesis_internal_use_settings = settings(
                 chosen, max_examples=5 * chosen.max_examples)
+
+
+@pytest.fixture
+def p2p_oracle(monkeypatch):
+    """Point-to-point on the event-chain reference (``oracles/p2p.py``)
+    in worlds built with ``fastpath=False``.  A module whose reference
+    leg needs it opts in with
+    ``pytestmark = pytest.mark.usefixtures("p2p_oracle")``."""
+    p2p.install(monkeypatch)

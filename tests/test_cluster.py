@@ -62,7 +62,7 @@ def test_transfer_advances_clock():
                                  latency=0.0, software_overhead=0.0))
 
     def proc():
-        yield from m.network.transfer(0, 1, 50_000_000)
+        yield m.network.transfer(0, 1, 50_000_000)
 
     env.process(proc())
     env.run()
@@ -78,7 +78,7 @@ def test_transfer_contention_serializes_at_receiver():
     ends = {}
 
     def sender(src):
-        yield from m.network.transfer(src, 2, 100_000_000)
+        yield m.network.transfer(src, 2, 100_000_000)
         ends[src] = env.now
 
     env.process(sender(0))
@@ -96,7 +96,7 @@ def test_transfer_disjoint_pairs_run_in_parallel():
     ends = []
 
     def sender(src, dst):
-        yield from m.network.transfer(src, dst, 100_000_000)
+        yield m.network.transfer(src, dst, 100_000_000)
         ends.append(env.now)
 
     env.process(sender(0, 1))
@@ -114,7 +114,7 @@ def test_contention_penalty_inflates_queued_transfers():
     ends = {}
 
     def sender(src):
-        yield from m.network.transfer(src, 2, 100_000_000)
+        yield m.network.transfer(src, 2, 100_000_000)
         ends[src] = env.now
 
     env.process(sender(0))
@@ -131,8 +131,8 @@ def test_transfer_stats_accumulate():
     m = Machine(env, MachineSpec(num_nodes=2))
 
     def proc():
-        yield from m.network.transfer(0, 1, 1000)
-        yield from m.network.transfer(1, 0, 2000)
+        yield m.network.transfer(0, 1, 1000)
+        yield m.network.transfer(1, 0, 2000)
 
     env.process(proc())
     env.run()
@@ -200,7 +200,7 @@ def test_negative_transfer_rejected():
     m = Machine(env, MachineSpec(num_nodes=2))
 
     def proc():
-        yield from m.network.transfer(0, 1, -5)
+        yield m.network.transfer(0, 1, -5)
 
     env.process(proc())
     with pytest.raises(ValueError):

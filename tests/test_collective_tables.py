@@ -26,6 +26,8 @@ from repro.mpi.fastcoll import (
 )
 from repro.simulate import Environment
 
+pytestmark = pytest.mark.usefixtures("p2p_oracle")
+
 SIZES = range(1, 41)
 ROOTED = ("bcast", "reduce", "gather")
 

@@ -4,8 +4,8 @@ The generator collectives run their op tables' programs
 (``Comm._collective``), so what a table does with a value — keep,
 replace, combine or store it, and at which index — is what the
 application sees.  These tests check the returned values against plain
-Python, with the world's fast-path switch on (sends over the network
-replay) and off (generator transfers).  A non-commutative reduction
+Python, with the world's fast-path switch on and off (every send rides
+the network replay either way).  A non-commutative reduction
 (tuple concatenation) pins the combine order ``op(received, running)``.
 """
 

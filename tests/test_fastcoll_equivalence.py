@@ -29,13 +29,15 @@ from repro.mpi import MAX, Phantom, SUM, World
 from repro.simulate import Environment
 import repro.mpi.comm as comm_module
 
+pytestmark = pytest.mark.usefixtures("p2p_oracle")
+
 
 def run_both(main, nprocs, *, num_nodes=None, **spec_kwargs):
     """Run ``main`` SPMD with the fast path off and on; return both
     observations as ``(end_times, values, comm_stats, net_stats)``.
 
-    The off leg, ``World(fastpath=False)``, is the pristine
-    event-kernel path.
+    The off leg, ``World(fastpath=False)`` under the ``p2p_oracle``
+    fixture, is the pristine event-kernel path.
     """
     out = []
     for fast in (False, True):

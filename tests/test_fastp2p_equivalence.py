@@ -1,13 +1,15 @@
-"""Clock-equivalence of the point-to-point fast path.
+"""Clock-equivalence of point-to-point over the network replay.
 
-The contract (docs/phantom.md): with the same inputs, a fast-path
-``send``/``isend``/``recv``/``sendrecv`` produces *identical* simulated
-completion times, payload values and ``CommStats``/``NetworkStats``
-counters as the generator transfer chain it replaces — for any payload
-(the event chain carries no information beyond the byte count), on any
-machine shape: shared nodes (``cpus_per_node > 1``), same-node
-shared-memory messages, and backplanes tight enough that concurrent
-flows pay the oversubscription multiplier.
+The contract (docs/phantom.md): every message takes
+``Network.transfer``, whose network replay must produce *identical*
+simulated completion times, payload values and
+``CommStats``/``NetworkStats`` counters as the event-chain transfer it
+replaced (kept as the reference in ``tests/oracles/p2p.py``, which the
+``p2p_oracle`` fixture installs for the ``fastpath=False`` legs) — for
+any payload (the event chain carries no information beyond the byte
+count), on any machine shape: shared nodes (``cpus_per_node > 1``),
+same-node shared-memory messages, and backplanes tight enough that
+concurrent flows pay the oversubscription multiplier.
 
 The only excluded corner is the event kernel's tie-breaking of
 bit-identical simultaneous NIC requests (documented in docs/phantom.md);
@@ -17,11 +19,14 @@ collective equivalence suite.
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import p2p
 
 from repro.cluster import Machine, MachineSpec
 from repro.mpi import ANY_SOURCE, Phantom, World
 from repro.mpi.request import wait_all
 from repro.simulate import Environment
+
+pytestmark = pytest.mark.usefixtures("p2p_oracle")
 
 
 def run_both(main, nprocs, **spec_kwargs):
@@ -144,7 +149,7 @@ def test_any_source_master_worker():
 
 def test_same_node_messages_shared_memory_path():
     """cpus_per_node=2: co-located ranks exchange through memory, not
-    the NIC, and the fast path is demonstrably taken."""
+    the NIC, and the replay is demonstrably engaged."""
     env = Environment()
     machine = Machine(env, MachineSpec(num_nodes=2, cpus_per_node=2))
     world = World(env, machine, launch_overhead=0.0)
@@ -158,8 +163,7 @@ def test_same_node_messages_shared_memory_path():
         else:
             yield from probe(comm)
 
-    group = world.launch(sink, processors=[0, 1])
-    assert group.view(0)._fastp2p() is not None
+    world.launch(sink, processors=[0, 1])
     env.run()
     # The replay was actually engaged (created lazily on first use) and
     # a same-node message never touched the NIC counters.
@@ -262,24 +266,63 @@ def test_p2p_property_tight_backplane(nprocs, skew, nbytes):
                                 backplane_bandwidth=130e6))
 
 
-@pytest.mark.parametrize("fastpath", [False], ids=["switched-off"])
-def test_generator_path_never_touches_the_replay(fastpath):
-    """Switched off, collectives and point-to-point both step aside, so
-    no replayed flow shares the network with a transfer."""
+# ---------------------------------------------------------------------------
+# Network.transfer against the event chain
+# ---------------------------------------------------------------------------
+
+def transfer_run(transfers, nodes, *, oracle, **spec_kwargs):
+    """Time ``(start, src, dst, nbytes)`` transfers between nodes with
+    ``Network.transfer`` or, with ``oracle``, the event chain; returns
+    the end times, ``NetworkStats`` and NIC byte counters."""
     env = Environment()
-    machine = Machine(env, MachineSpec(num_nodes=4))
-    world = World(env, machine, launch_overhead=0.0, fastpath=fastpath)
+    machine = Machine(env, MachineSpec(num_nodes=nodes, **spec_kwargs))
+    network = machine.network
+    ends = [None] * len(transfers)
 
-    def main(comm):
-        yield from comm.barrier()
-        yield from comm.bcast(Phantom(5_000) if comm.rank == 0 else None)
-        yield from comm.sendrecv(Phantom(3_000), dest=(comm.rank + 1) % 4,
-                                 source=(comm.rank - 1) % 4)
+    def one(i, start, src, dst, nbytes):
+        yield env.timeout(start)
+        if oracle:
+            yield from p2p.event_chain(network).transfer(src, dst, nbytes)
+        else:
+            yield network.transfer(src, dst, nbytes)
+        ends[i] = env.now
 
-    group = world.launch(main, processors=list(range(4)))
-    assert group.view(0)._fastcoll() is None
-    assert group.view(0)._fastp2p() is None
+    for i, transfer in enumerate(transfers):
+        env.process(one(i, *transfer))
     env.run()
-    assert machine.network._replay is None
-    assert machine.network.stats.messages > 0
+    stats = network.stats
+    return (ends, (stats.messages, stats.bytes),
+            [(n.nic.bytes_sent, n.nic.bytes_received)
+             for n in machine.nodes], stats.busy_time)
 
+
+@st.composite
+def transfer_sets(draw):
+    """Transfers on up to six nodes (same-node pairs included) that
+    start at pairwise-distinct instants, 1 us apart at least: tied
+    starts are the documented deviation."""
+    nodes = draw(st.integers(2, 6))
+    count = draw(st.integers(1, 12))
+    starts = draw(st.lists(st.integers(0, 5_000), min_size=count,
+                           max_size=count, unique=True))
+    pairs = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
+    transfers = [(tick * 1e-6, *draw(pairs),
+                  draw(st.integers(1, 2_000_000))) for tick in starts]
+    return nodes, transfers
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=transfer_sets(),
+       penalty=st.sampled_from([0.0, 0.2, 0.75]),
+       backplane=st.sampled_from([float("inf"), 150e6, 250e6]))
+def test_network_transfer_matches_the_event_chain(case, penalty, backplane):
+    """``Network.transfer`` (the replay) and the event chain time every
+    transfer alike: same-node pairs, the contention penalty, and
+    backplanes that bind once two or three flows share them."""
+    nodes, transfers = case
+    spec = dict(contention_penalty=penalty, backplane_bandwidth=backplane)
+    replayed = transfer_run(transfers, nodes, oracle=False, **spec)
+    chained = transfer_run(transfers, nodes, oracle=True, **spec)
+    assert replayed[:3] == chained[:3]
+    # busy_time: the same terms summed in another order.
+    assert replayed[3] == pytest.approx(chained[3], rel=1e-12)

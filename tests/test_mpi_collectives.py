@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Machine, MachineSpec
 from repro.mpi import MAX, MIN, MPIError, Phantom, SUM, World
+from repro.mpi.fastcoll import SEND, TABLES
 from repro.simulate import Environment
 
 
@@ -206,3 +207,27 @@ def test_bcast_cost_scales_logarithmically():
     t2, t4, t16 = timed(2), timed(4), timed(16)
     assert t4 == pytest.approx(2 * t2, rel=0.05)
     assert t16 == pytest.approx(4 * t2, rel=0.05)   # log2(16)=4 rounds
+
+
+def test_switched_off_collectives_ride_the_replay():
+    """With the world switch off, collectives decline the fast path and
+    run their op tables as real messages, every one of them a transfer
+    on the network replay."""
+    env = Environment()
+    machine = Machine(env, MachineSpec(num_nodes=4))
+    world = World(env, machine, launch_overhead=0.0, fastpath=False)
+    calls = [("barrier", 0), ("bcast", 0), ("reduce", 2), ("allgather", 0)]
+
+    def main(comm):
+        yield from comm.barrier()
+        yield from comm.bcast(Phantom(5_000) if comm.rank == 0 else None)
+        yield from comm.reduce(Phantom(3_000), SUM, root=2)
+        yield from comm.allgather(Phantom(1_000))
+
+    group = world.launch(main, processors=list(range(4)))
+    assert group.view(0)._fastcoll() is None
+    env.run()
+    assert machine.network._replay is not None
+    hops = sum(op[0] == SEND for kind, root in calls
+               for program in TABLES[kind](4, root).ops for op in program)
+    assert machine.network.stats.messages == hops

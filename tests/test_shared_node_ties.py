@@ -17,6 +17,8 @@ import pytest
 from repro.mpi import Phantom, SUM
 from test_fastcoll_equivalence import assert_equivalent, run_both
 
+pytestmark = pytest.mark.usefixtures("p2p_oracle")
+
 #: Payload of the reduce cases.
 NBYTES = 5000
 

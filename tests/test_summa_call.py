@@ -8,7 +8,8 @@ network replay at its start time.  It must book what the per-broadcast
 paths book:
 
 * the generator path, ``World(fastpath=False)``: ``Comm.bcast``'s
-  binomial tree, every hop a ``Network.transfer``;
+  binomial tree, every hop on the event-chain transfer
+  (``tests/oracles/p2p.py``, installed by the ``p2p_oracle`` fixture);
 * the replayed path, the same run with the gate (``matmul._one_call``)
   off: the same tree, every hop a send on the network replay and the
   grid barrier a live call.
@@ -23,7 +24,7 @@ The two references themselves disagree on some exactly tied hops, and
 the difference lies in the network replay, not in the broadcast: the
 replay delivers the sends that complete at one instant through one
 batch record, so every blocking sender resumes before any receiver,
-where ``Network.transfer`` resumes each sender just before its own
+where the event chain resumes each sender just before its own
 receiver; the replayed barrier also releases ranks due at one instant
 in its own order.  When two hops sent next tie on a receive engine or a
 full backplane, that order decides which one pays.  Where the
@@ -48,6 +49,8 @@ from repro.cluster import Machine, MachineSpec
 from repro.darray import Descriptor, DistributedMatrix
 from repro.mpi import Phantom, World
 from repro.simulate import Environment
+
+pytestmark = pytest.mark.usefixtures("p2p_oracle")
 
 GRIDS = [(1, 2), (2, 1), (1, 6), (2, 3), (3, 2), (2, 4), (4, 4), (4, 5),
          (5, 5), (3, 5)]

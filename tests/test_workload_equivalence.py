@@ -1,9 +1,9 @@
 """The paper workloads on both execution paths: same schedule, same clocks.
 
 W1 (Fig 4) and W2 (Fig 5) run under dynamic scheduling twice: once with
-both ``World`` fast-path switches off, so every message and collective
-takes the generator path, and once with them on (network replay,
-replayed collectives, closed-form LU walks, the SUMMA live call).  The
+the ``World`` fast-path switch off, so every collective runs its op
+table as real messages over the network replay, and once with it on
+(replayed collectives, closed-form LU walks, the SUMMA live call).  The
 fast paths are clock-equivalent by contract, so the scheduler must take
 the same decisions, the network must book the same traffic and the
 experiment must end at the same instant.  Individual timeline times are
