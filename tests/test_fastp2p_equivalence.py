@@ -266,6 +266,27 @@ def test_p2p_property_tight_backplane(nprocs, skew, nbytes):
                                 backplane_bandwidth=130e6))
 
 
+def test_oracle_world_keeps_off_the_replay():
+    """Switched off, collectives run as messages and every message takes
+    the event chain, so no replayed flow shares the network with it (the
+    chain's NIC engines and the replay's ``Nic.fp_free`` cannot see each
+    other)."""
+    env = Environment()
+    machine = Machine(env, MachineSpec(num_nodes=4))
+    world = World(env, machine, launch_overhead=0.0, fastpath=False)
+
+    def main(comm):
+        yield from comm.barrier()
+        yield from comm.bcast(Phantom(5_000) if comm.rank == 0 else None)
+        yield from comm.sendrecv(Phantom(3_000), dest=(comm.rank + 1) % 4,
+                                 source=(comm.rank - 1) % 4)
+
+    world.launch(main, processors=list(range(4)))
+    env.run()
+    assert machine.network._replay is None
+    assert machine.network.stats.messages > 0
+
+
 # ---------------------------------------------------------------------------
 # Network.transfer against the event chain
 # ---------------------------------------------------------------------------

@@ -124,9 +124,11 @@ def test_redistribute_clock_unchanged(shapes, fast):
     assert results2[0].total_bytes_moved == res.total_bytes_moved
 
 
+@pytest.mark.usefixtures("p2p_oracle")
 def test_redistribute_fast_and_slow_clocks_agree():
     """Fast-path barriers around the redistribution leave the elapsed
-    time bit-identical to the generator path."""
+    time bit-identical to the generator path over the event-chain
+    reference (``tests/oracles/p2p.py``)."""
     def run(fast):
         env = Environment()
         machine = Machine(env, MachineSpec(num_nodes=16))

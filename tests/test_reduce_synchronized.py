@@ -6,7 +6,8 @@ same-instant peer that consumed nothing, which ``CollSim`` did not
 model — for 13 of the rank counts up to 50 (never ``root=0``) two
 contending senders swapped places and one clock moved by a contended
 wire time.  Every root of the first six affected sizes must agree with
-the generator path on per-rank clocks, values and counters.
+the generator path over the event-chain reference
+(``tests/oracles/p2p.py``) on per-rank clocks, values and counters.
 """
 
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from repro.cluster import Machine, MachineSpec
 from repro.mpi import Phantom, SUM, World
 from repro.simulate import Environment
+
+pytestmark = pytest.mark.usefixtures("p2p_oracle")
 
 
 def _reduce(nprocs, root, nbytes, fast):

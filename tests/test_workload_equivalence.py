@@ -1,12 +1,13 @@
 """The paper workloads on both execution paths: same schedule, same clocks.
 
 W1 (Fig 4) and W2 (Fig 5) run under dynamic scheduling twice: once with
-the ``World`` fast-path switch off, so every collective runs its op
-table as real messages over the network replay, and once with it on
-(replayed collectives, closed-form LU walks, the SUMMA live call).  The
-fast paths are clock-equivalent by contract, so the scheduler must take
-the same decisions, the network must book the same traffic and the
-experiment must end at the same instant.  Individual timeline times are
+the ``World`` fast-path switch off and point-to-point on the event-chain
+reference (``tests/oracles/p2p.py``), so every message and collective
+takes the generator path over the event chain, and once with it on
+(network replay, replayed collectives, closed-form LU walks, the SUMMA
+live call).  The fast paths are clock-equivalent by contract, so the
+scheduler must take the same decisions, the network must book the same
+traffic and the experiment must end at the same instant.  Individual timeline times are
 held to 1e-6 relative; they differ by at most 1e-8 on W1 and 1.2e-10 on
 W2 (``docs/phantom.md``, "Known deviations").  With two iterations every
 job expands after its first, so no iteration is replayed here; that
@@ -20,6 +21,8 @@ import pytest
 from repro.core import ReshapeFramework
 from repro.workloads import build_workload1, build_workload2
 from repro.workloads.paper import WORKLOAD1_PROCESSORS, WORKLOAD2_PROCESSORS
+
+pytestmark = pytest.mark.usefixtures("p2p_oracle")
 
 
 def run(build, processors: int, fastpath: bool):
