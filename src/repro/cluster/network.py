@@ -12,7 +12,7 @@ contention free*, i.e. no two simultaneous messages share a sender or a
 receiver.
 
 :meth:`Network.transfer` is the one entry point for a message.  The
-arithmetic lives in the network replay (:mod:`repro.mpi.fastp2p`),
+arithmetic lives in the network's replay (:mod:`repro.cluster.replay`),
 which keeps each NIC's engine availability in ``Nic.fp_free`` and
 resolves a transfer with plain arithmetic; ``tests/oracles/p2p.py``
 keeps the same model as a chain of kernel events (resource grants and
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.node import Node
+from repro.cluster.replay import NetReplay
 from repro.simulate import Environment, Event
 
 
@@ -72,9 +73,8 @@ class Network:
         #: kernels on the paper's testbed.
         self.backplane_bandwidth = backplane_bandwidth
         self.stats = NetworkStats()
-        #: The network replay (repro.mpi.fastp2p.NetReplay) that times
-        #: every transfer; created with the first one.
-        self._replay = None
+        #: The network replay that times every transfer.
+        self.replay = NetReplay(self)
 
     # ------------------------------------------------------------------
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
@@ -95,13 +95,4 @@ class Network:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        replay = self._replay
-        if replay is None:
-            replay = self._open_replay()
-        return replay.send_event(src, dst, nbytes)
-
-    def _open_replay(self):
-        # repro.mpi imports this package, so the replay's class is bound
-        # when the network carries its first message, not at import.
-        from repro.mpi.fastp2p import net_replay
-        return net_replay(self)
+        return self.replay.send_event(src, dst, nbytes)

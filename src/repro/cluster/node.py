@@ -31,7 +31,7 @@ class Nic:
         self.bandwidth = bandwidth
         #: Engine availability, ``[tx_free, rx_free]`` simulated times:
         #: when each engine ends its last booked transfer.  The network
-        #: replay (``repro.mpi.fastp2p``) serializes transfers on it.
+        #: replay (``repro.cluster.replay``) serializes transfers on it.
         self.fp_free = [0.0, 0.0]
         #: Cumulative bytes moved, for utilization accounting.
         self.bytes_sent = 0

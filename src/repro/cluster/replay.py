@@ -1,14 +1,13 @@
 """The network replay: every transfer's timing, as arithmetic.
 
 :class:`NetReplay` is the one model of NIC and backplane occupancy on a
-live network.  ``Network.transfer`` registers every point-to-point
-message on it and gets back the completion event that ``Comm``
-attaches the mailbox deposit to; the live :class:`~repro.mpi.fastcoll.
-CollSim` calls take it as their sender.  One instance per
-:class:`~repro.cluster.network.Network`, created with the first
-transfer (:func:`net_replay`), so point-to-point and collective flows
-all see the same per-NIC engine occupancy (``Nic.fp_free``) and the
-same backplane interval log.
+live network.  Each :class:`~repro.cluster.network.Network` builds one
+(``Network.replay``); ``Network.transfer`` registers every
+point-to-point message on it and gets back the completion event that
+``Comm`` attaches the mailbox deposit to, and the live
+:class:`~repro.mpi.fastcoll.CollSim` calls take it as their sender.  So
+point-to-point and collective flows all see the same per-NIC engine
+occupancy (``Nic.fp_free``) and the same backplane interval log.
 
 The model is a chain of resource grants computed with plain
 arithmetic: tx engines grant in request (``t_arrive``) order, rx
@@ -42,17 +41,8 @@ import heapq
 from bisect import insort
 from typing import Callable, Optional
 
-from repro.mpi.datatypes import HEADER_BYTES
 from repro.simulate import Event
 from repro.simulate.engine import Batch
-
-
-def net_replay(network) -> "NetReplay":
-    """The (lazily created) replay instance bound to ``network``."""
-    replay = network._replay
-    if replay is None:
-        replay = network._replay = NetReplay(network)
-    return replay
 
 
 class _Flow:
@@ -112,21 +102,16 @@ class NetReplay:
         (``Network.transfer``); returns the event firing at its
         completion time, exactly once."""
         ev = Event(self.env)
-        self._register(src, dst, nbytes, self.env.now,
+        self.send_flow(src, dst, nbytes, self.env.now,
                        lambda end: self._group_member(ev, end))
         return ev
 
-    def send_flow(self, src: int, dst: int, payload_nb: int, start: float,
+    def send_flow(self, src: int, dst: int, nbytes: int, start: float,
                   on_complete: Callable[[float], None]) -> None:
-        """Register one message of ``payload_nb`` payload bytes (the
-        :class:`~repro.mpi.fastcoll.CollSim` sender interface)."""
-        self._register(src, dst, payload_nb + HEADER_BYTES, start,
-                       on_complete)
-
-    def _register(self, src: int, dst: int, nbytes: int, start: float,
-                  on_complete: Callable[[float], None]) -> None:
-        """Register one transfer; ``on_complete(end)`` fires when its
-        completion time is known (inline whenever provably safe)."""
+        """Register one transfer of ``nbytes`` wire bytes starting at
+        ``start``; ``on_complete(end)`` fires when its completion time
+        is known (inline whenever provably safe).  This is the
+        :class:`~repro.mpi.fastcoll.CollSim` sender interface."""
         net = self.net
         if src == dst:
             # Shared-memory path: no NIC engines, no backplane, no

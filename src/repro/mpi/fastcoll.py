@@ -18,7 +18,7 @@ The fast path must produce **identical simulated clocks, values and
 ``CommStats``/``NetworkStats`` counters** to the generator path it
 replaces (see ``docs/phantom.md`` and
 ``tests/test_fastcoll_equivalence.py``).  Live transfers are resolved by
-the shared network-level replay (:mod:`repro.mpi.fastp2p`), whose
+the network's replay (:mod:`repro.cluster.replay`), whose
 ``NetReplay`` is the live :class:`CollSim` sender (:class:`Wire` is the
 detached one).  It models the full transfer cost chain — software
 overhead, per-NIC FIFO serialization with the endpoint contention
@@ -70,7 +70,6 @@ from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.mpi.datatypes import HEADER_BYTES, payload_nbytes
-from repro.mpi.fastp2p import net_replay
 from repro.simulate import Environment, Event
 
 
@@ -84,7 +83,7 @@ class Wire:
 
     ``engines`` maps a node index to a mutable ``[tx_free, rx_free]``
     pair of scratch state — a hypothetical replay, never live traffic;
-    live sends go through the shared :class:`~repro.mpi.fastp2p.
+    live sends go through the network's :class:`~repro.cluster.replay.
     NetReplay` instead.  Callers must feed sends in nondecreasing start
     order — per-NIC FIFO then matches the event kernel's grant order.
     Same-node sends take the shared-memory path, so shared-node grids
@@ -108,14 +107,13 @@ class Wire:
         self.sent: defaultdict = defaultdict(int)    # wire bytes per node
         self.received: defaultdict = defaultdict(int)
 
-    def send_flow(self, src: int, dst: int, payload_nb: int, start: float,
+    def send_flow(self, src: int, dst: int, nbytes: int, start: float,
                   on_complete: Callable[[float], None]) -> None:
-        """Cost one ``_send_raw`` from node ``src`` to node ``dst`` and
-        hand its completion (= mailbox deposit) time to ``on_complete``,
-        synchronously."""
+        """Cost one ``_send_raw`` of ``nbytes`` wire bytes from node
+        ``src`` to node ``dst`` and hand its completion (= mailbox
+        deposit) time to ``on_complete``, synchronously."""
         net = self.network
         if src == dst:
-            nbytes = payload_nb + HEADER_BYTES
             end = start + (net.memory_latency +
                            nbytes / net.nodes[src].memory_bandwidth)
             self.messages += 1
@@ -127,16 +125,15 @@ class Wire:
         engines = self.engines
         t_hold = max(t_arrive, engines.setdefault(src, [0.0, 0.0])[0],
                      engines.setdefault(dst, [0.0, 0.0])[1])
-        on_complete(self.hop(src, dst, payload_nb, start, t_arrive, t_hold))
+        on_complete(self.hop(src, dst, nbytes, start, t_arrive, t_hold))
 
-    def hop(self, src: int, dst: int, payload_nb: int, start: float,
+    def hop(self, src: int, dst: int, nbytes: int, start: float,
             t_arrive: float, t_hold: float) -> float:
-        """Hold both nodes' engines from ``t_hold`` for the wire time
-        (contended when the hold starts late); count the flow; its
-        completion time."""
+        """Hold both nodes' engines from ``t_hold`` for the wire time of
+        ``nbytes`` wire bytes (contended when the hold starts late);
+        count the flow; its completion time."""
         net = self.network
         nodes = net.nodes
-        nbytes = payload_nb + HEADER_BYTES
         # min(), spelled out: this is the redistribution walk's hot loop.
         bw = nodes[src].nic.bandwidth
         if nodes[dst].nic.bandwidth < bw:
@@ -455,7 +452,8 @@ class CollSim:
                     break
                 start, _cause, _seq, rank = heapq.heappop(self.heap)
                 dst, value, blocking, nbytes, stats = self.pend[rank]
-                self.sender.send_flow(nodes[rank], nodes[dst], nbytes, start,
+                self.sender.send_flow(nodes[rank], nodes[dst],
+                                      nbytes + HEADER_BYTES, start,
                                       self._wire_done(rank, dst, value,
                                                       blocking, nbytes, stats))
         finally:
@@ -629,7 +627,7 @@ class FastCollState:
 def build_state(shared) -> FastCollState:
     """Structural routing record of a communicator for the fast path.
 
-    Always eligible: the shared network replay (repro.mpi.fastp2p)
+    Always eligible: the network's replay (repro.cluster.replay)
     reproduces shared-node NIC queueing, the same-node memory path and
     backplane flow-sharing exactly, so no machine shape rules the fast
     path out anymore.  The per-call conditions (the switch, payload
@@ -664,7 +662,7 @@ class LiveCall:
         self.tag = tag
         self.env: Environment = shared.world.env
         self.sim = CollSim(kind, shared.nodes,
-                           net_replay(shared.world.machine.network),
+                           shared.world.machine.network.replay,
                            root=root, op=op, stats=shared.stats)
         self.sim.on_progress = self._on_progress
         self.events: dict[int, Event] = {}

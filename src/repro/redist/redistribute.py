@@ -42,7 +42,7 @@ broadcast and barrier hop finds its engines free, else after the live
 broadcast and entry barrier — and delivers the results in one batch.  Otherwise (other jobs, framework
 records, tight backplanes, the naive ablation schedule) the live driver
 below runs: messages ride the network replay
-(:mod:`repro.mpi.fastp2p`), a step being the cached per-rank plan walk
+(:mod:`repro.cluster.replay`), a step being the cached per-rank plan walk
 plus pure clock arithmetic.  Both paths give identical clocks and
 counters.
 """

@@ -22,8 +22,8 @@ from typing import Callable, Generator, Optional
 
 from repro.mpi import fastcoll
 from repro.mpi.comm import _COLL_TAG_BASE
+from repro.mpi.datatypes import HEADER_BYTES
 from repro.mpi.fastcoll import CollSim, LiveCall, Wire
-from repro.mpi.fastp2p import net_replay
 from repro.simulate import Event
 from repro.simulate.engine import (
     HANDLER_BATCH,
@@ -137,7 +137,7 @@ class _Rendezvous:
         comm = self.joined[0][0]
         env = comm.env
         if len(self.joined) < self.size and _resumes_now(
-                env, net_replay(comm.world.machine.network)):
+                env, comm.world.machine.network.replay):
             env.call_at(env.now, env.handler_id(_Rendezvous.settle), self)
             return
         self.finish()
@@ -193,10 +193,9 @@ def _snapshot(comm) -> tuple:
     """What any foreign activity between the joins would have changed."""
     machine = comm.world.machine
     network = machine.network
-    replay = network._replay
     disk = machine.disk
     return (comm.env._live_processes, network.stats.messages,
-            replay._seq if replay is not None else 0,
+            network.replay._seq,
             disk.bytes_written, disk.bytes_read)
 
 
@@ -217,7 +216,7 @@ def _admit(comm) -> bool:
     if any(network.nodes[node].nic.bandwidth != bandwidth
            for node in nodes):
         return False
-    replay = net_replay(network)
+    replay = network.replay
     if replay._unresolved:
         return False
     now = env.now
@@ -390,14 +389,14 @@ class Walk(Wire):
         self.table: list = []
         self.marks: dict = {}
 
-    def hop(self, src: int, dst: int, payload: int, start: float,
+    def hop(self, src: int, dst: int, nbytes: int, start: float,
             t_arrive: float, t_hold: float) -> float:
         """``Wire.hop`` plus the walk's own bookkeeping."""
-        end = Wire.hop(self, src, dst, payload, start, t_arrive, t_hold)
+        end = Wire.hop(self, src, dst, nbytes, start, t_arrive, t_hold)
         if t_hold > t_arrive:
             self.quick = False
         self.end_holds.append(self.engines[src][0])
-        self.payload_bytes += payload
+        self.payload_bytes += nbytes - HEADER_BYTES
         return end
 
     def entry(self, payload: int, t0: float,
@@ -556,7 +555,8 @@ class Walk(Wire):
                 if grant >= t_hold:
                     t_hold = grant
                 flow[7] = t_hold
-                flow[6] = end = self.hop(nodes[src], nodes[dst], payload,
+                flow[6] = end = self.hop(nodes[src], nodes[dst],
+                                         payload + HEADER_BYTES,
                                          start, t_arrive, t_hold)
                 mail[(dst, key)] = (end, payload, fid)
                 if waiting[dst] == key:
@@ -577,7 +577,7 @@ class Walk(Wire):
         would have: engine state, wire intervals, counters, and the tags
         of the ``collectives`` it walked on every rank's view."""
         network = self.network
-        replay = net_replay(network)
+        replay = network.replay
         for node, row in self.engines.items():
             network.nodes[node].nic.fp_free[:] = row
         self.book()

@@ -1,7 +1,7 @@
 """Point-to-point as a chain of kernel events: the replay's reference.
 
 ``Network.transfer`` times every message with the network replay's
-arithmetic (``repro.mpi.fastp2p``).  This module keeps the same cost
+arithmetic (``repro.cluster.replay``).  This module keeps the same cost
 model written the other way — capacity-1 ``Resource`` engines per NIC,
 timeouts for software overhead, wire and latency, a flow counter for
 the backplane — and the generator send path that ran over it: the

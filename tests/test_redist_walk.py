@@ -217,9 +217,7 @@ def test_residual_wire_intervals_count_against_the_headroom():
 
     def on_wire(count):
         def setup(env, world):
-            from repro.mpi.fastp2p import net_replay
-            replay = net_replay(world.machine.network)
-            replay._act_fast.extend([1.0] * count)
+            world.machine.network.replay._act_fast.extend([1.0] * count)
         return setup
 
     assert assert_identical(sc, setup=on_wire(2), spec_changes=changes)
